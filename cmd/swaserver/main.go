@@ -49,8 +49,6 @@
 //	          [-addr :8468] [-ops-addr :8469] [-workers N] [-inflight N]
 //	          [-queued N] [-tenants tenants.json]
 //	          [-grace 15s] [-timeout 30s] [-lanes 32]
-//	          [-devices 4 -device-specs titanx,titanx-half]
-//	          [-quarantine-after 3 -probe-interval 1s -hedge-after 0]
 //	          [-node-id n1 -peers n2=http://h2:8468,n3=http://h3:8468]
 //	          [-peer-timeout 5s -peer-hedge-after 0 -peer-probe-interval 1s]
 //	          [-data-dir /var/lib/swa -wal-sync always -chunk-size 64]
@@ -66,13 +64,6 @@
 // rejoin) and unconditional fallback to local execution. On drain the node
 // hands its hot key arcs to the surviving owners. /statsz gains a cluster
 // section and /metricsz cluster_* gauges.
-//
-// -devices N (N > 0) runs the GPU tiers on a fleet of N simulated devices
-// plus a CPU last-resort member: batches shard across the fleet with
-// work-stealing, per-device health tracking (suspect → quarantine → probe →
-// readmit) and shard-level re-dispatch when a device fails or is killed
-// mid-batch. -device-specs cycles performance models over the members;
-// /statsz gains a service.fleet section and /metricsz per-device gauges.
 package main
 
 import (
@@ -93,11 +84,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/cudasim"
-	"repro/internal/fleet"
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/tenant"
@@ -120,12 +109,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "score-cache size bound in bytes (0 disables the cache)")
 	cacheTTL := flag.Duration("cache-ttl", 10*time.Minute, "score-cache entry lifetime (0 = no expiry)")
 	cacheShards := flag.Int("cache-shards", 16, "score-cache shard count")
-
-	devices := flag.Int("devices", 0, "simulated GPU fleet size (0 = single-device pipelines, no fleet)")
-	deviceSpecs := flag.String("device-specs", "titanx", "comma-separated perf specs cycled over the fleet members")
-	quarantineAfter := flag.Int("quarantine-after", 3, "consecutive shard failures that quarantine a fleet device")
-	probeInterval := flag.Duration("probe-interval", time.Second, "quarantine cooldown before a readmission probe")
-	hedgeAfter := flag.Duration("hedge-after", 0, "re-dispatch a shard still running after this long (0 disables hedging)")
 
 	nodeID := flag.String("node-id", "", "this node's stable cluster identity (required with -peers)")
 	peers := flag.String("peers", "", "static cluster peers as id=url,id=url (empty = single node, no cluster)")
@@ -225,49 +208,9 @@ func main() {
 			*cacheBytes>>20, *cacheTTL, *cacheShards)
 	}
 
-	// The device fleet: -devices N shards every GPU-tier batch across N
-	// simulated cards (specs cycled from -device-specs) plus a CPU
-	// last-resort member, with health tracking and kill survival. The
-	// 12 GiB per-member capacity is backed lazily, so idle members cost
-	// nothing until their shards actually allocate.
-	var fl *fleet.Scheduler
-	if *devices > 0 {
-		var specs []perfmodel.DeviceSpec
-		for _, name := range strings.Split(*deviceSpecs, ",") {
-			spec, ok := perfmodel.SpecByName(strings.TrimSpace(name))
-			if !ok {
-				cli.Exitf(2, "swaserver: -device-specs: unknown spec %q (have %s)",
-					name, strings.Join(perfmodel.SpecNames(), ", "))
-			}
-			specs = append(specs, spec)
-		}
-		members := make([]fleet.DeviceConfig, 0, *devices+1)
-		for i := 0; i < *devices; i++ {
-			members = append(members, fleet.DeviceConfig{
-				Name:        fmt.Sprintf("gpu%d", i),
-				Spec:        specs[i%len(specs)],
-				GlobalBytes: 12 << 30,
-			})
-		}
-		members = append(members, fleet.DeviceConfig{Name: "cpu", CPU: true})
-		var err error
-		fl, err = fleet.New(fleet.Config{
-			Devices:         members,
-			QuarantineAfter: *quarantineAfter,
-			ProbeInterval:   *probeInterval,
-			HedgeAfter:      *hedgeAfter,
-			Metrics:         obs.Default(),
-			Seed:            *faultSeed,
-		})
-		cli.Check(err)
-		log.Printf("swaserver: fleet enabled: %d device(s) + cpu, quarantine after %d, probe every %v",
-			*devices, *quarantineAfter, *probeInterval)
-	}
-
 	svc := alignsvc.New(alignsvc.Config{
 		Backend:         *backend,
 		Cache:           cache,
-		Fleet:           fl,
 		Lanes:           *lanes,
 		Workers:         *workers,
 		Queue:           *queue,
@@ -454,9 +397,6 @@ func main() {
 		}
 		cl.Close()
 		svc.Close()
-		if fl != nil {
-			fl.Close()
-		}
 		cli.Die(fmt.Errorf("swaserver: serve: %w", err))
 	case <-ctx.Done():
 	}
@@ -487,9 +427,6 @@ func main() {
 	}
 	cl.Close()
 	svc.Close()
-	if fl != nil {
-		fl.Close()
-	}
 	if drainErr != nil {
 		cli.Die(fmt.Errorf("swaserver: %w", drainErr))
 	}

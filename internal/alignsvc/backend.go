@@ -3,9 +3,9 @@ package alignsvc
 // This file is the pluggable-backend seam: every engine the service can
 // serve scores with — the two simulated GPU pipelines, the native striped
 // CPU engine and the scalar reference — sits behind the Backend interface,
-// so the degradation ladder, the fleet sharding, the retry machinery, the
-// metrics and the benchmarks all select engines through one seam instead of
-// hard-coded tier switches.
+// so the degradation ladder, the retry machinery, the metrics and the
+// benchmarks all select engines through one seam instead of hard-coded tier
+// switches.
 
 import (
 	"context"
@@ -61,9 +61,6 @@ type Capabilities struct {
 	// skips sampling validation for them (there is no wrong answer to
 	// catch, only errors).
 	Exact bool
-	// Simulated backends run on the simulated GPU stack: fault injection,
-	// device specs and the fleet scheduler apply to them.
-	Simulated bool
 }
 
 // BatchOpts carries per-attempt context into a backend.
@@ -92,7 +89,7 @@ type Backend interface {
 }
 
 // NewBackend constructs a standalone backend: no worker pool, no retry
-// ladder, no fleet, no fault injection — just the engine. The benchmark
+// ladder, no fault injection — just the engine. The benchmark
 // harness and the cross-backend exactness oracle use it to measure and
 // compare engines in isolation. cfg supplies the scoring scheme (and, for
 // the simulated backends, the device model); lanes selects the bitwise
@@ -138,7 +135,7 @@ func runPipeline(ctx context.Context, tier Tier, pairs []dna.Pair, cfg pipeline.
 }
 
 // simBackend serves through a simulated GPU pipeline. Attached to a service
-// (svc != nil) it inherits the service's fleet, fault injection and metrics
+// (svc != nil) it inherits the service's fault injection and metrics
 // registry; standalone it runs the bare pipeline.
 type simBackend struct {
 	name  string
@@ -151,7 +148,7 @@ type simBackend struct {
 func (b *simBackend) Name() string { return b.name }
 
 func (b *simBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: false, Simulated: true}
+	return Capabilities{Exact: false}
 }
 
 func (b *simBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error) {
@@ -163,10 +160,6 @@ func (b *simBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts Batc
 		return r.Scores, BatchStats{}, nil
 	}
 	s := b.svc
-	if s.cfg.Fleet != nil {
-		scores, counts, err := s.runTierFleet(ctx, b.tier, pairs)
-		return scores, BatchStats{Faults: counts}, err
-	}
 	cfg := s.cfg.Pipeline
 	if cfg.Metrics == nil {
 		// Hand the pipelines the service registry so one scrape sees the

@@ -2,6 +2,7 @@ package alignsvc
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -172,6 +173,77 @@ func TestCacheExactUnderFaultInjection(t *testing.T) {
 		t.Fatalf("chaos run exercised no cache traffic: %+v", cst)
 	}
 	t.Logf("cache after chaos: %+v; service: %+v", cst, s.Stats())
+}
+
+// TestCacheLeaderDeadlineNotCached covers alignCached's failed-leader
+// branch: the leader's context expires mid-batch while followers on live
+// contexts wait on its flights. The leader gets its deadline, the failure
+// is never cached, every follower recomputes exact scores itself, and the
+// recomputed scores then serve an identical batch entirely from the cache.
+func TestCacheLeaderDeadlineNotCached(t *testing.T) {
+	// Every GPU attempt fails to launch, so the ladder sleeps through six
+	// 25–50 ms backoffs before the CPU rung answers: at least 150 ms, well
+	// past the leader's 100 ms deadline.
+	s := newCachedService(t, Config{
+		Seed:            13,
+		MaxAttempts:     4,
+		BaseBackoff:     50 * time.Millisecond,
+		BreakerFailures: -1,
+		Faults:          cudasim.FaultConfig{Launch: 1},
+	})
+	pairs := plantedPairs(8, 12, 24, 31)
+	want := refScores(pairs)
+
+	leaderCtx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Align(leaderCtx, pairs)
+		leaderErr <- err
+	}()
+	// The leader owns every flight once it has missed every pair.
+	for s.CacheStats().Misses < int64(len(pairs)) {
+		time.Sleep(time.Millisecond)
+	}
+
+	const followers = 3
+	var wg sync.WaitGroup
+	results := make([]*BatchResult, followers)
+	errs := make([]error, followers)
+	for i := range followers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = s.Align(context.Background(), pairs)
+		}()
+	}
+
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader error = %v, want context.DeadlineExceeded", err)
+	}
+	if st := s.CacheStats(); st.Entries != 0 {
+		t.Fatalf("failed leader left %d cached entries", st.Entries)
+	}
+	wg.Wait()
+	if st := s.CacheStats(); st.Coalesced != followers*int64(len(pairs)) {
+		t.Fatalf("%d follower lookups coalesced onto the leader, want %d", st.Coalesced, followers*len(pairs))
+	}
+	for i := range followers {
+		if errs[i] != nil {
+			t.Fatalf("follower %d: %v", i, errs[i])
+		}
+		assertScores(t, results[i].Scores, want)
+	}
+
+	res, err := s.Align(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertScores(t, res.Scores, want)
+	if res.Report.CacheHits != len(pairs) || len(res.Report.Attempts) != 0 {
+		t.Fatalf("recomputed scores not served from cache: %d hits of %d, %d attempts",
+			res.Report.CacheHits, len(pairs), len(res.Report.Attempts))
+	}
 }
 
 // TestWarmCache seeds the cache with precomputed scores (the jobs recovery

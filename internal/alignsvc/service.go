@@ -32,7 +32,6 @@ import (
 	"repro/internal/aligncache"
 	"repro/internal/cudasim"
 	"repro/internal/dna"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/striped"
@@ -61,9 +60,9 @@ type Config struct {
 	// Backend selects the default serving engine and its degradation
 	// ladder by name: BackendBitwiseSim (also the "" default, preserving
 	// the classic sim ladder), BackendWordwiseSim, BackendStriped or
-	// BackendCPURef. Every ladder ends at the CPU reference unless
-	// NoCPUFallback is set. New panics on an unknown name — a misspelled
-	// backend must not silently serve with a different engine.
+	// BackendCPURef. Every ladder ends at the CPU reference. New panics on
+	// an unknown name — a misspelled backend must not silently serve with a
+	// different engine.
 	Backend string
 	// Pipeline is the base GPU-pipeline configuration (scoring, device,
 	// lane behaviour). Its Faults field is overwritten per attempt.
@@ -92,10 +91,6 @@ type Config struct {
 	// Each attempt derives its own stream from Faults.Seed, the batch
 	// number and the attempt number, so retries see fresh faults.
 	Faults cudasim.FaultConfig
-	// StartTier skips leading rungs of the default bitwise-sim ladder
-	// (e.g. TierWordwise to bypass the bitwise pipeline entirely). The
-	// other backends' ladders already start at their engine and ignore it.
-	StartTier Tier
 	// BreakerFailures is how many consecutive batch-level failures of a GPU
 	// tier trip its circuit breaker open (default 5; negative disables the
 	// breakers). While a breaker is open the ladder skips that tier
@@ -109,19 +104,6 @@ type Config struct {
 	// histograms plus retry/fallback/breaker counters (nil = obs.Default()).
 	// It is also handed to the pipelines unless Pipeline.Metrics is set.
 	Metrics *obs.Registry
-	// Fleet, when non-nil, spreads each GPU-tier batch across a fleet of
-	// simulated devices (shards, work-stealing, hedging, per-device health;
-	// see internal/fleet). The degradation ladder is unchanged — a tier
-	// fails only when the whole fleet could not serve the batch — and the
-	// fleet's CPU member handles shard-level re-dispatch while TierCPU
-	// remains the batch-level last rung. Breaker openings on GPU tiers are
-	// forwarded to the fleet as health signals.
-	Fleet *fleet.Scheduler
-	// NoCPUFallback removes TierCPU from the ladder, so a batch that
-	// exhausts the GPU tiers fails typed instead of being served by the
-	// host reference. Integration tests use it to observe device-loss
-	// errors end to end; production configs leave it false.
-	NoCPUFallback bool
 	// Cache, when non-nil, memoizes per-pair scores by content hash
 	// (pattern bytes, text bytes, scoring, lane width). Cache hits bypass
 	// the worker pool, the circuit breakers and the retry ladder entirely;
@@ -210,8 +192,8 @@ type Service struct {
 	batchSeq  atomic.Uint64
 
 	// backends holds one Backend per tier; process routes every attempt
-	// through this seam. stripedEng is the shared native engine behind
-	// backends[TierStriped] and the fleet's CPU member.
+	// through this seam. stripedEng is the native engine behind
+	// backends[TierStriped], kept for its Stats snapshot.
 	backends   [numTiers]Backend
 	stripedEng *striped.Engine
 
@@ -226,10 +208,6 @@ type Service struct {
 	batches, batchesFailed, retries, fallbacks atomic.Int64
 	cpuFallbacks, deadlineHits, cancellations  atomic.Int64
 	panicsRecovered, faultsInjected            atomic.Int64
-
-	// fleetSeq derives a unique injector seed per fleet shard execution, so
-	// a re-dispatched shard never replays the fault stream that killed it.
-	fleetSeq atomic.Uint64
 }
 
 // New starts the worker pool and returns the service. It panics on an
@@ -274,13 +252,6 @@ func New(cfg Config) *Service {
 				reg.Counter(obs.L("alignsvc_breaker_transitions_total",
 					"tier", tier, "to", to.String())).Inc()
 				state.Set(float64(to))
-				// A GPU tier's breaker opening is a fleet-health signal:
-				// mark the GPU members suspect so failing devices
-				// quarantine on a short streak. (Lock order is breaker →
-				// fleet; the fleet never calls back into a breaker.)
-				if to == BreakerOpen && cfg.Fleet != nil {
-					cfg.Fleet.NoteBreakerOpen(tier)
-				}
 			}
 			s.breakers[t] = b
 		}
@@ -416,10 +387,6 @@ func (s *Service) Stats() Stats {
 		st.BreakerShortCircuits += shorts
 		st.BreakerProbes += probes
 	}
-	if s.cfg.Fleet != nil {
-		fs := s.cfg.Fleet.Stats()
-		st.Fleet = &fs
-	}
 	ss := s.stripedEng.Stats()
 	st.Striped = &ss
 	return st
@@ -443,30 +410,18 @@ func isCtxErr(err error) bool {
 
 // ladder returns the degradation ladder for a backend: the backend's own
 // rung first, then the cheaper rungs it degrades through, always ending at
-// the CPU reference. StartTier filters only the default bitwise-sim ladder
-// (the other backends' ladders already start at their engine);
-// NoCPUFallback drops the reference rung except for the cpu-ref backend,
-// whose only rung it is.
+// the CPU reference.
 func (s *Service) ladder(backend string) []Tier {
-	var rungs []Tier
 	switch backend {
 	case BackendWordwiseSim:
-		rungs = []Tier{TierWordwise, TierCPU}
+		return []Tier{TierWordwise, TierCPU}
 	case BackendStriped:
-		rungs = []Tier{TierStriped, TierCPU}
+		return []Tier{TierStriped, TierCPU}
 	case BackendCPURef:
 		return []Tier{TierCPU}
 	default: // BackendBitwiseSim and ""
-		for _, t := range []Tier{TierBitwise, TierWordwise, TierCPU} {
-			if t >= s.cfg.StartTier {
-				rungs = append(rungs, t)
-			}
-		}
+		return []Tier{TierBitwise, TierWordwise, TierCPU}
 	}
-	if s.cfg.NoCPUFallback && len(rungs) > 0 && rungs[len(rungs)-1] == TierCPU {
-		rungs = rungs[:len(rungs)-1]
-	}
-	return rungs
 }
 
 // process walks the backend's degradation ladder for one batch, consulting
@@ -509,11 +464,6 @@ func (s *Service) process(ctx context.Context, pairs []dna.Pair, seq uint64, bac
 	}
 	s.batchesFailed.Add(1)
 	s.obs.Counter("alignsvc_batches_failed_total").Inc()
-	if lastErr == nil {
-		// Every rung was skipped (open breakers with NoCPUFallback): there
-		// is no attempt error to propagate, only the configuration.
-		return nil, fmt.Errorf("alignsvc: no tier available (%s)", rep.String())
-	}
 	return nil, fmt.Errorf("alignsvc: all tiers exhausted (%s): %w", rep.String(), lastErr)
 }
 
@@ -594,68 +544,6 @@ func (s *Service) runTier(ctx context.Context, tier Tier, pairs []dna.Pair, seq,
 	}()
 	scores, st, err := s.backends[tier].AlignBatch(ctx, pairs, BatchOpts{Seq: seq, Attempt: attempt})
 	return scores, st.Faults, err
-}
-
-// runTierFleet runs one GPU-tier attempt through the fleet scheduler: the
-// batch is sharded across the fleet's devices, each shard executing the
-// tier's pipeline on its device's spec and memory with a per-execution
-// fault stream (the device's flaky profile and kill switch layered on the
-// service's chaos config). The fleet's CPU member serves re-dispatched
-// shards with the native striped engine — still exact (the engine widens
-// on overflow down to the scalar reference) but at wall-clock GCUPS, so a
-// device loss degrades throughput, not latency class. Injected-fault
-// counts are summed across every shard execution, including the ones whose
-// shard was later re-run elsewhere.
-func (s *Service) runTierFleet(ctx context.Context, tier Tier, pairs []dna.Pair) ([]int, cudasim.FaultCounts, error) {
-	var mu sync.Mutex
-	var total cudasim.FaultCounts
-	exec := func(ctx context.Context, d *fleet.Device, shard []dna.Pair) (scores []int, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.panicsRecovered.Add(1)
-				s.obs.Counter(obs.L("alignsvc_panics_recovered_total", "tier", tier.String())).Inc()
-				err = fmt.Errorf("alignsvc: recovered %s-tier panic on %s: %v", tier, d.Name(), r)
-			}
-		}()
-		if d.CPU() {
-			if d.Killed() {
-				return nil, &cudasim.KilledError{Op: cudasim.FaultLaunch}
-			}
-			scores, _, err := s.stripedEng.ScoreBatch(ctx, shard, s.scoring())
-			return scores, err
-		}
-		cfg := s.cfg.Pipeline
-		if cfg.Metrics == nil {
-			cfg.Metrics = s.obs
-		}
-		cfg.Device = d.Spec()
-		if d.GlobalBytes() > 0 && cfg.GlobalBytes == 0 {
-			cfg.GlobalBytes = d.GlobalBytes()
-		}
-		inj := d.NewInjector(*s.faults.Load(), s.fleetSeq.Add(1)*0x9e3779b97f4a7c15|1)
-		cfg.Faults = inj
-		r, err := runPipeline(ctx, tier, shard, cfg, s.cfg.Lanes)
-		c := inj.Counts()
-		mu.Lock()
-		total.HtoD += c.HtoD
-		total.DtoH += c.DtoH
-		total.Alloc += c.Alloc
-		total.Launch += c.Launch
-		total.BitFlips += c.BitFlips
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return r.Scores, nil
-	}
-	scores, err := s.cfg.Fleet.Run(ctx, pairs, exec)
-	mu.Lock()
-	counts := total
-	mu.Unlock()
-	if err != nil {
-		return nil, counts, err
-	}
-	return scores, counts, nil
 }
 
 func (s *Service) scoring() swa.Scoring {

@@ -292,20 +292,6 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-func TestStartTierSkipsRungs(t *testing.T) {
-	s := New(Config{Seed: 1, StartTier: TierCPU})
-	defer s.Close()
-	pairs := plantedPairs(48, 16, 32, 12)
-	res, err := s.Align(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScores(t, res.Scores, refScores(pairs))
-	if res.Report.Tier != TierCPU || len(res.Report.Attempts) != 1 {
-		t.Fatalf("StartTier=cpu report: %+v", res.Report)
-	}
-}
-
 func TestReportString(t *testing.T) {
 	r := Report{
 		Tier: TierCPU,

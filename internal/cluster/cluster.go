@@ -16,12 +16,11 @@
 // hedge that races local execution against a slow forward. Every failure
 // mode degrades to local execution.
 //
-// Peer health is probed (healthy → suspect → quarantined → probing, the
-// fleet scheduler's machine shape) and feeds ring membership: keys re-home
-// when a node dies and re-home back when it is readmitted. A draining node
-// removes itself from its own ring and hands the hot part of its key space
-// to the new owners (POST /cluster/warm), so a rolling restart does not
-// cold-start the cache.
+// Peer health is probed (healthy → suspect → quarantined → probing) and
+// feeds ring membership: keys re-home when a node dies and re-home back
+// when it is readmitted. A draining node removes itself from its own ring
+// and hands the hot part of its key space to the new owners (POST
+// /cluster/warm), so a rolling restart does not cold-start the cache.
 //
 // Forwarded requests carry the X-SWA-Forwarded header and are always served
 // locally by the receiver — one hop, never chains — so a stale ring cannot
@@ -213,8 +212,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is one peer's health state, the fleet scheduler's machine shape
-// applied to remote nodes.
+// State is one peer's health state: a failure streak makes a peer suspect
+// and then quarantined, and after the probe cooldown a successful probe
+// readmits it.
 type State int
 
 const (
