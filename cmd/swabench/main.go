@@ -51,13 +51,11 @@ func main() {
 	figure := flag.Int("figure", 0, "print only figure N (1-2); 0 = all selected by -table")
 	ablations := flag.Bool("ablations", false, "also run the DESIGN.md §5 ablations")
 	benchOut := flag.String("bench-out", "", "write a bench-pipeline JSON document to FILE and exit (skips the tables)")
-	peers := flag.Int("peers", 0, "with -bench-out: also sweep a cluster of N peer nodes and record routing, peer cache hit ratio and re-homes")
 	backends := flag.String("backends", "", "with -bench-out: comma-separated execution backends to sweep on the wall clock (e.g. striped,bitwise-sim,cpu-ref)")
 	search := flag.Bool("search", false, "with -bench-out: also sweep the corpus-search prefilter selectivity across k-mer lengths 4, 6 and 8")
 	searchSeqs := flag.Int("search-seqs", 4000, "with -search: synthetic corpus size in sequences")
 	searchBackend := flag.String("search-backend", "striped", "with -search: scoring backend for the search sweep")
 	checkBench := flag.String("check-bench", "", "validate a bench-pipeline JSON document and exit")
-	requireCluster := flag.Bool("require-cluster", false, "with -check-bench: fail unless the document carries a cluster section")
 	requireBackends := flag.String("require-backends", "", "with -check-bench: fail unless the document carries a section for each comma-separated backend")
 	requireSearch := flag.Bool("require-search", false, "with -check-bench: fail unless the document carries a search section whose default-k pass rate is under 0.2")
 	minStripedSpeedup := flag.Float64("min-striped-speedup", 0, "with -check-bench: fail unless striped beats bitwise-sim on the wall clock by at least this factor")
@@ -69,9 +67,6 @@ func main() {
 		f, err := bench.ReadFile(*checkBench)
 		if err == nil {
 			err = f.Validate()
-		}
-		if err == nil && *requireCluster && f.Cluster == nil {
-			err = fmt.Errorf("%s has no cluster section (regenerate with -peers N)", *checkBench)
 		}
 		if err == nil && *requireBackends != "" {
 			have := make(map[string]bool)
@@ -103,9 +98,6 @@ func main() {
 			cli.Exitf(1, "swabench: %v", err)
 		}
 		sections := ""
-		if f.Cluster != nil {
-			sections += fmt.Sprintf(", cluster of %d", f.Cluster.Nodes)
-		}
 		if len(f.Backends) > 0 {
 			sections += fmt.Sprintf(", %d backend(s)", len(f.Backends))
 		}
@@ -135,14 +127,6 @@ func main() {
 		f, err := bench.Collect(ctx, spec, pipeline.Config{Metrics: reg})
 		if err != nil {
 			cli.Die(fmt.Errorf("swabench: bench: %w", err))
-		}
-		if *peers > 0 {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "... bench: cluster sweep across %d peer node(s)\n", *peers)
-			}
-			if err := f.CollectCluster(ctx, spec, *peers); err != nil {
-				cli.Die(fmt.Errorf("swabench: bench: %w", err))
-			}
 		}
 		if *backends != "" {
 			var names []string
@@ -176,10 +160,6 @@ func main() {
 		}
 		for _, r := range f.Runs {
 			fmt.Printf("bench m=%d n=%d pairs=%d lanes=%d gcups=%.2f\n", r.M, r.N, r.Pairs, r.Lanes, r.GCUPS)
-		}
-		if c := f.Cluster; c != nil {
-			fmt.Printf("cluster nodes=%d forwarded=%d warm_hit_ratio=%.2f fallbacks=%d rehomes=%d (killed %s)\n",
-				c.Nodes, c.ForwardedPairs, c.WarmHitRatio, c.FallbackPairs, c.Rehomes, c.KilledNode)
 		}
 		for _, sec := range f.Backends {
 			fmt.Printf("backend %s wall_gcups=%.4f runs=%d\n", sec.Name, sec.AggregateWallGCUPS, len(sec.Runs))

@@ -17,7 +17,7 @@ import (
 // TestBackendFlagEndToEnd boots the real binary with the striped default
 // and checks the whole backend seam over HTTP: exact scores served by the
 // striped tier, /statsz carrying the backend name and striped counters, a
-// per-request X-SWA-Backend override landing on the cpu-ref rung, and an
+// per-request X-SWA-Backend override landing on the cpu tier, and an
 // unknown header rejected as bad_backend. Skipped with -short.
 func TestBackendFlagEndToEnd(t *testing.T) {
 	if testing.Short() {

@@ -73,27 +73,22 @@ func TestSIGKILLCrashRecovery(t *testing.T) {
 	bin := buildSwaserver(t)
 	dataDir := t.TempDir()
 
-	// Phase 1: every chunk spends ~200ms in the retry ladder (launch
-	// failures, breaker off) before the CPU rung serves it — slow enough to
-	// SIGKILL mid-job with checkpoints on disk.
+	// Phase 1: the scalar reference spends ~50 ms on each chunk of four
+	// 1024×2048 pairs — slow enough to SIGKILL mid-job with checkpoints on
+	// disk.
 	cmd, base, stderr := startSwaserver(t, bin,
 		"-addr", "127.0.0.1:0",
-		"-backend", "bitwise-sim", // fault-launch retry pacing needs the sim ladder
+		"-backend", "cpu-ref",
 		"-data-dir", dataDir,
 		"-wal-sync", "always",
 		"-chunk-size", "4",
 		"-job-concurrency", "1",
-		"-fault-launch", "1",
-		"-breaker-failures", "-1",
-		"-max-attempts", "3",
-		"-base-backoff", "50ms",
-		"-max-backoff", "50ms",
 	)
 	defer cmd.Process.Kill()
 
 	// 32 deterministic pairs = 8 chunks of 4.
 	rng := rand.New(rand.NewPCG(31, 0))
-	pairs := dna.RandomPairs(rng, 32, 8, 16)
+	pairs := dna.RandomPairs(rng, 32, 1024, 2048)
 	want := make([]int, len(pairs))
 	req := server.JobSubmitRequest{Pairs: make([]server.PairJSON, len(pairs))}
 	for i, p := range pairs {
@@ -133,8 +128,8 @@ func TestSIGKILLCrashRecovery(t *testing.T) {
 	}
 	cmd.Wait() // reap; exit status is meaningless after SIGKILL
 
-	// Phase 2: restart on the same data dir, now fault-free. Recovery must
-	// requeue the job and finish only the unfinished chunks.
+	// Phase 2: restart on the same data dir with the default backend.
+	// Recovery must requeue the job and finish only the unfinished chunks.
 	cmd2, base2, stderr2 := startSwaserver(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-data-dir", dataDir,

@@ -1,14 +1,14 @@
-// Command swaserver runs the HTTP alignment server: alignsvc.Service (the
-// retry/degradation ladder over pluggable execution backends) behind
-// internal/server's admission control.
+// Command swaserver runs the HTTP alignment server: alignsvc.Service (score
+// cache → worker pool → pluggable execution backend, with the scalar
+// reference answering any batch its backend fails) behind internal/server's
+// admission control.
 //
 // -backend selects the default serving engine: striped (the native
 // Farrar-style SIMD CPU engine, the wall-clock default), bitwise-sim /
-// wordwise-sim (the paper's simulated GPU pipelines, with the classic
-// retry/degradation ladder and fault injection), or cpu-ref (the scalar
-// reference). A single request can override it with the X-SWA-Backend
-// header; all backends return byte-identical scores, so the score cache and
-// cluster routing are shared across them.
+// wordwise-sim (the paper's simulated GPU pipelines), or cpu-ref (the
+// scalar reference). A single request can override it with the
+// X-SWA-Backend header; all backends return byte-identical scores, so the
+// score cache and cluster routing are shared across them.
 //
 // Endpoints: POST /align, GET /healthz, /readyz, /statsz, /metricsz
 // (Prometheus text). On SIGINT/SIGTERM the server stops admitting work
@@ -55,7 +55,6 @@
 //	          [-corpus ref=/var/lib/swa/corpus -search-backend striped]
 //	          [-search-chunk-size 4096]
 //	          [-read-header-timeout 10s -read-timeout 2m -idle-timeout 2m]
-//	          [-fault-launch 0.3 -fault-bitflip 0.2 ...]   (chaos mode)
 //
 // -peers turns N swaserver processes into one coordinator-free logical
 // service: a consistent-hash ring over the score-cache content address
@@ -83,7 +82,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/corpus"
-	"repro/internal/cudasim"
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
@@ -100,12 +98,6 @@ func main() {
 	workers := flag.Int("workers", 0, "service worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "service queue depth (0 = workers)")
 	lanes := flag.Int("lanes", 32, "bitwise lane width: 32 or 64")
-	maxAttempts := flag.Int("max-attempts", 3, "attempts per GPU tier before degrading")
-	validate := flag.Float64("validate", 0.05, "fraction of scores re-checked on the CPU (>=1 checks all)")
-	baseBackoff := flag.Duration("base-backoff", time.Millisecond, "base retry backoff")
-	maxBackoff := flag.Duration("max-backoff", 50*time.Millisecond, "retry backoff cap")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive tier failures tripping the circuit breaker (<0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before the half-open probe")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "score-cache size bound in bytes (0 disables the cache)")
 	cacheTTL := flag.Duration("cache-ttl", 10*time.Minute, "score-cache entry lifetime (0 = no expiry)")
 	cacheShards := flag.Int("cache-shards", 16, "score-cache shard count")
@@ -144,13 +136,6 @@ func main() {
 	searchBackend := flag.String("search-backend", alignsvc.BackendStriped,
 		"exact scoring backend for corpus search: "+strings.Join(alignsvc.BackendNames(), ", "))
 	searchChunkSize := flag.Int("search-chunk-size", 4096, "corpus sequences per search-job chunk (the checkpoint granularity)")
-
-	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection seed")
-	faultHtoD := flag.Float64("fault-htod", 0, "HtoD transfer failure rate [0,1]")
-	faultDtoH := flag.Float64("fault-dtoh", 0, "DtoH transfer failure rate [0,1]")
-	faultAlloc := flag.Float64("fault-alloc", 0, "device allocation failure rate [0,1]")
-	faultLaunch := flag.Float64("fault-launch", 0, "kernel launch failure rate [0,1]")
-	faultBitFlip := flag.Float64("fault-bitflip", 0, "silent bit-flip rate per transfer [0,1]")
 	flag.Parse()
 
 	if flag.NArg() != 0 {
@@ -166,17 +151,6 @@ func main() {
 	}
 	if *grace <= 0 {
 		cli.Exitf(2, "swaserver: -grace must be positive, got %v", *grace)
-	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
-		{"-validate", *validate}, {"-fault-htod", *faultHtoD}, {"-fault-dtoh", *faultDtoH},
-		{"-fault-alloc", *faultAlloc}, {"-fault-launch", *faultLaunch}, {"-fault-bitflip", *faultBitFlip},
-	} {
-		if r.name != "-validate" && (r.v < 0 || r.v > 1) {
-			cli.Exitf(2, "swaserver: %s must be in [0,1], got %v", r.name, r.v)
-		}
 	}
 
 	// Multi-tenant admission: -tenants loads the API-key registry that the
@@ -209,26 +183,11 @@ func main() {
 	}
 
 	svc := alignsvc.New(alignsvc.Config{
-		Backend:         *backend,
-		Cache:           cache,
-		Lanes:           *lanes,
-		Workers:         *workers,
-		Queue:           *queue,
-		MaxAttempts:     *maxAttempts,
-		ValidateFrac:    *validate,
-		BaseBackoff:     *baseBackoff,
-		MaxBackoff:      *maxBackoff,
-		BreakerFailures: *breakerFailures,
-		BreakerCooldown: *breakerCooldown,
-		Seed:            *faultSeed,
-		Faults: cudasim.FaultConfig{
-			Seed:    *faultSeed,
-			HtoD:    *faultHtoD,
-			DtoH:    *faultDtoH,
-			Alloc:   *faultAlloc,
-			Launch:  *faultLaunch,
-			BitFlip: *faultBitFlip,
-		},
+		Backend: *backend,
+		Cache:   cache,
+		Lanes:   *lanes,
+		Workers: *workers,
+		Queue:   *queue,
 	})
 	// Reference corpora: each -corpus name=dir opens a CRC-checked index
 	// built by dbfilter -build, and all mounts share one exact scoring

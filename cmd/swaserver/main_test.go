@@ -35,19 +35,11 @@ func TestSIGTERMDrainsInFlight(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	// Launch failures + long backoffs (breaker disabled) make every align
-	// spend ~300-600ms sleeping in the retry ladder before the CPU rung
-	// serves it — a deterministic "slow" request for the drain window.
-	// -backend=bitwise-sim: the retry-ladder timing below only exists on
-	// the simulated backend; the striped default would serve instantly.
+	// The scalar reference on 16 pairs of 1024×2048 (34M cells, ~0.2 s at
+	// ~175 MCUPS) makes the request slow enough to SIGTERM mid-flight.
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
-		"-backend", "bitwise-sim",
-		"-fault-launch", "1",
-		"-breaker-failures", "-1",
-		"-max-attempts", "4",
-		"-base-backoff", "100ms",
-		"-max-backoff", "100ms",
+		"-backend", "cpu-ref",
 		"-grace", "10s",
 	)
 	stdout, err := cmd.StdoutPipe()
@@ -72,7 +64,7 @@ func TestSIGTERMDrainsInFlight(t *testing.T) {
 	go io.Copy(io.Discard, stdout)
 
 	rng := rand.New(rand.NewPCG(21, 0))
-	pairs := dna.RandomPairs(rng, 16, 8, 16)
+	pairs := dna.RandomPairs(rng, 16, 1024, 2048)
 	want := make([]int, len(pairs))
 	req := server.AlignRequest{Pairs: make([]server.PairJSON, len(pairs))}
 	for i, p := range pairs {

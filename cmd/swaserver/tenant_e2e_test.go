@@ -53,18 +53,14 @@ func TestSIGTERMDrainsMultiTenantFlood(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same deterministic slow-request recipe as the single-tenant drain
-	// test: every align spends ~300-600ms in the retry ladder. The score
-	// cache is off — every client posts the same batch, and a cache hit
-	// would serve it instantly, destroying the queue pressure under test.
+	// Slow requests as in the single-tenant drain test: the scalar
+	// reference spends ~0.15 s on each batch of eight 1024×3072 pairs. The
+	// score cache is off — every client posts the same batch, and a cache
+	// hit would serve it instantly, destroying the queue pressure under
+	// test.
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
-		"-backend", "bitwise-sim",
-		"-fault-launch", "1",
-		"-breaker-failures", "-1",
-		"-max-attempts", "4",
-		"-base-backoff", "100ms",
-		"-max-backoff", "100ms",
+		"-backend", "cpu-ref",
 		"-cache-bytes", "0",
 		"-inflight", "3",
 		"-queued", "6",
@@ -91,7 +87,7 @@ func TestSIGTERMDrainsMultiTenantFlood(t *testing.T) {
 	go io.Copy(io.Discard, stdout)
 
 	rng := rand.New(rand.NewPCG(33, 0))
-	pairs := dna.RandomPairs(rng, 8, 8, 16)
+	pairs := dna.RandomPairs(rng, 8, 1024, 3072)
 	want := make([]int, len(pairs))
 	req := server.AlignRequest{Pairs: make([]server.PairJSON, len(pairs))}
 	for i, p := range pairs {

@@ -28,9 +28,9 @@
 //     GPU, the four SW kernel families, and the five-stage
 //     host→device→kernel→device→host pipeline of the paper's Table IV.
 //   - internal/alignsvc, internal/aligncache, internal/server,
-//     internal/jobs — the serving layer: a resilient batch service with
-//     retry ladders and fault injection, a content-addressed score cache
-//     with singleflight deduplication, the HTTP front end, and durable
+//     internal/jobs — the serving layer: a batch service whose failed
+//     batches fall back once to the scalar reference, a content-addressed
+//     score cache with singleflight deduplication, the HTTP front end, and durable
 //     WAL-backed async jobs whose recovery warms the cache.
 //   - internal/bench, internal/tables, internal/stats — measurement:
 //     machine-readable benchmark documents and the paper's tables/figures.

@@ -37,13 +37,12 @@ func Example_bulkScores() {
 	// GATT / GCATGCAT -> 5
 }
 
-// Example_alignService runs the same batch twice through the cached,
-// fault-tolerant alignment service. The first batch computes through the
-// retry ladder and populates the content-addressed cache; the identical
-// repeat is served entirely from memory.
+// Example_alignService runs the same batch twice through the cached
+// alignment service. The first batch computes on the backend and
+// populates the content-addressed cache; the identical repeat is served
+// entirely from memory.
 func Example_alignService() {
 	svc := alignsvc.New(alignsvc.Config{
-		Seed:    1,
 		Metrics: obs.NewRegistry(),
 		Cache: aligncache.New(aligncache.Config{
 			MaxBytes: 1 << 20,

@@ -3,15 +3,13 @@ package alignsvc
 // This file is the pluggable-backend seam: every engine the service can
 // serve scores with — the two simulated GPU pipelines, the native striped
 // CPU engine and the scalar reference — sits behind the Backend interface,
-// so the degradation ladder, the retry machinery, the metrics and the
-// benchmarks all select engines through one seam instead of hard-coded tier
-// switches.
+// so the service, the metrics and the benchmarks all select engines
+// through one seam instead of hard-coded tier switches.
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 	"repro/internal/pipeline"
 	"repro/internal/striped"
@@ -22,14 +20,13 @@ import (
 // swaserver -backend flag / X-SWA-Backend header.
 const (
 	// BackendBitwiseSim serves through the paper's bitwise BPBC pipeline on
-	// the simulated GPU, degrading wordwise-sim → cpu-ref on failure.
+	// the simulated GPU.
 	BackendBitwiseSim = "bitwise-sim"
 	// BackendWordwiseSim serves through the conventional wordwise pipeline
-	// on the simulated GPU, degrading to cpu-ref on failure.
+	// on the simulated GPU.
 	BackendWordwiseSim = "wordwise-sim"
 	// BackendStriped serves with the native striped CPU engine
-	// (internal/striped), degrading to cpu-ref on failure. This is the
-	// wall-clock serving path.
+	// (internal/striped). This is the wall-clock serving path.
 	BackendStriped = "striped"
 	// BackendCPURef serves with the scalar swa.Score reference directly.
 	BackendCPURef = "cpu-ref"
@@ -40,7 +37,7 @@ func BackendNames() []string {
 	return []string{BackendStriped, BackendBitwiseSim, BackendWordwiseSim, BackendCPURef}
 }
 
-// backendTier maps a backend name to the ladder rung that serves it.
+// backendTier maps a backend name to the tier that serves it.
 func backendTier(name string) (Tier, error) {
 	switch name {
 	case BackendBitwiseSim, "":
@@ -55,55 +52,42 @@ func backendTier(name string) (Tier, error) {
 	return 0, fmt.Errorf("alignsvc: unknown backend %q", name)
 }
 
-// Capabilities describes what a backend guarantees.
-type Capabilities struct {
-	// Exact backends produce byte-exact scores by construction; the service
-	// skips sampling validation for them (there is no wrong answer to
-	// catch, only errors).
-	Exact bool
-}
+// BatchOpts carries per-call options into a backend. It has none today; it
+// stays in the AlignBatch signature so callers outside this package keep
+// compiling.
+type BatchOpts struct{}
 
-// BatchOpts carries per-attempt context into a backend.
-type BatchOpts struct {
-	// Seq is the service-wide batch sequence number, Attempt the attempt
-	// ordinal within the batch; together they derive the deterministic
-	// fault stream for simulated backends.
-	Seq, Attempt uint64
-}
-
-// BatchStats is what one backend attempt reports back.
-type BatchStats struct {
-	// Faults counts the faults injected during the attempt (simulated
-	// backends only).
-	Faults cudasim.FaultCounts
-}
+// BatchStats is what one backend call reports back. It is empty today, for
+// the same reason as BatchOpts.
+type BatchStats struct{}
 
 // Backend is one scoring engine behind the service. AlignBatch scores every
-// pair or fails as a unit; scores must be exact when err is nil unless the
-// service's validation (for non-Exact backends) is expected to catch
-// device-induced corruption.
+// pair exactly or fails as a unit.
 type Backend interface {
 	Name() string
-	Capabilities() Capabilities
 	AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error)
 }
 
-// NewBackend constructs a standalone backend: no worker pool, no retry
-// ladder, no fault injection — just the engine. The benchmark
-// harness and the cross-backend exactness oracle use it to measure and
-// compare engines in isolation. cfg supplies the scoring scheme (and, for
-// the simulated backends, the device model); lanes selects the bitwise
-// width as in Config.Lanes.
+// scoringOf is the scoring scheme a pipeline config selects, defaulting to
+// the paper's.
+func scoringOf(cfg pipeline.Config) swa.Scoring {
+	if cfg.Scoring == (swa.Scoring{}) {
+		return swa.PaperScoring
+	}
+	return cfg.Scoring
+}
+
+// NewBackend constructs a standalone backend: no worker pool, no cache,
+// no fallback — just the engine. The benchmark harness and the
+// cross-backend exactness oracle use it to measure and compare engines in
+// isolation. cfg supplies the scoring scheme (and, for the simulated
+// backends, the device model); lanes selects the bitwise width as in
+// Config.Lanes.
 func NewBackend(name string, cfg pipeline.Config, lanes int) (Backend, error) {
 	if lanes == 0 {
 		lanes = 32
 	}
-	scoring := func() swa.Scoring {
-		if cfg.Scoring == (swa.Scoring{}) {
-			return swa.PaperScoring
-		}
-		return cfg.Scoring
-	}
+	scoring := scoringOf(cfg)
 	switch name {
 	case BackendBitwiseSim, BackendWordwiseSim:
 		tier := TierBitwise
@@ -134,68 +118,39 @@ func runPipeline(ctx context.Context, tier Tier, pairs []dna.Pair, cfg pipeline.
 	return nil, fmt.Errorf("alignsvc: no simulated pipeline for tier %v", tier)
 }
 
-// simBackend serves through a simulated GPU pipeline. Attached to a service
-// (svc != nil) it inherits the service's fault injection and metrics
-// registry; standalone it runs the bare pipeline.
+// simBackend serves through a simulated GPU pipeline. Its kernels are exact
+// but reject shapes the simulated device cannot launch (a pattern longer
+// than the 1024-thread block limit, a batch over the device memory); the
+// service answers those batches from the scalar reference.
 type simBackend struct {
 	name  string
 	tier  Tier
 	cfg   pipeline.Config
 	lanes int
-	svc   *Service // nil in standalone mode
 }
 
 func (b *simBackend) Name() string { return b.name }
 
-func (b *simBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: false}
-}
-
-func (b *simBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error) {
-	if b.svc == nil {
-		r, err := runPipeline(ctx, b.tier, pairs, b.cfg, b.lanes)
-		if err != nil {
-			return nil, BatchStats{}, err
-		}
-		return r.Scores, BatchStats{}, nil
-	}
-	s := b.svc
-	cfg := s.cfg.Pipeline
-	if cfg.Metrics == nil {
-		// Hand the pipelines the service registry so one scrape sees the
-		// whole stack.
-		cfg.Metrics = s.obs
-	}
-	fcfg := *s.faults.Load()
-	// Derive an independent deterministic fault stream per attempt so a
-	// retry does not replay the exact faults that just killed the batch.
-	fcfg.Seed ^= (opts.Seq*0x9e3779b97f4a7c15 + opts.Attempt) | 1
-	inj := cudasim.NewFaultInjector(fcfg)
-	cfg.Faults = inj
-	r, err := runPipeline(ctx, b.tier, pairs, cfg, s.cfg.Lanes)
-	st := BatchStats{Faults: inj.Counts()}
+func (b *simBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
+	r, err := runPipeline(ctx, b.tier, pairs, b.cfg, b.lanes)
 	if err != nil {
-		return nil, st, err
+		return nil, BatchStats{}, err
 	}
-	return r.Scores, st, nil
+	return r.Scores, BatchStats{}, nil
 }
 
 // stripedBackend serves with the native striped CPU engine. It is exact by
-// construction (overflowed narrow passes are always re-scored wider, down
-// to the scalar reference), so the service skips sampling validation.
+// construction: overflowed narrow passes are always re-scored wider, down
+// to the scalar reference.
 type stripedBackend struct {
 	eng     *striped.Engine
-	scoring func() swa.Scoring
+	scoring swa.Scoring
 }
 
 func (b *stripedBackend) Name() string { return BackendStriped }
 
-func (b *stripedBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: true}
-}
-
 func (b *stripedBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
-	scores, _, err := b.eng.ScoreBatch(ctx, pairs, b.scoring())
+	scores, _, err := b.eng.ScoreBatch(ctx, pairs, b.scoring)
 	return scores, BatchStats{}, err
 }
 
@@ -204,20 +159,16 @@ func (b *stripedBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, _ Bat
 // ones) aborts promptly on cancellation instead of running to completion.
 const cpuPollCells = 1 << 16
 
-// cpuBackend is the scalar swa.Score reference: the last rung of every
-// ladder, exact and fault-free, failing only on cancellation.
+// cpuBackend is the scalar swa.Score reference: the cpu-ref backend and
+// the fallback of every failed batch, failing only on cancellation.
 type cpuBackend struct {
-	scoring func() swa.Scoring
+	scoring swa.Scoring
 }
 
 func (b *cpuBackend) Name() string { return BackendCPURef }
 
-func (b *cpuBackend) Capabilities() Capabilities {
-	return Capabilities{Exact: true}
-}
-
 func (b *cpuBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
-	scores, err := runCPURef(ctx, pairs, b.scoring())
+	scores, err := runCPURef(ctx, pairs, b.scoring)
 	return scores, BatchStats{}, err
 }
 

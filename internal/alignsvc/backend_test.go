@@ -13,7 +13,7 @@ import (
 )
 
 // TestBackendLadderSelection verifies each configured backend serves clean
-// batches from its own head rung with exact scores.
+// batches on its own tier with exact scores and no fallback.
 func TestBackendLadderSelection(t *testing.T) {
 	cases := []struct {
 		backend string
@@ -29,7 +29,7 @@ func TestBackendLadderSelection(t *testing.T) {
 	want := refScores(pairs)
 	for _, tc := range cases {
 		t.Run("backend="+tc.backend, func(t *testing.T) {
-			s := New(Config{Seed: 1, Backend: tc.backend, Metrics: obs.NewRegistry()})
+			s := New(Config{Backend: tc.backend, Metrics: obs.NewRegistry()})
 			defer s.Close()
 			res, err := s.Align(context.Background(), pairs)
 			if err != nil {
@@ -39,8 +39,8 @@ func TestBackendLadderSelection(t *testing.T) {
 			if res.Report.Tier != tc.tier {
 				t.Fatalf("served by %v, want %v", res.Report.Tier, tc.tier)
 			}
-			if len(res.Report.Attempts) != 1 {
-				t.Fatalf("attempts: %+v", res.Report.Attempts)
+			if res.Report.Fallbacks != 0 {
+				t.Fatalf("clean batch fell back: %s", res.Report)
 			}
 			st := s.Stats()
 			wantName := tc.backend
@@ -71,7 +71,7 @@ func TestNewPanicsOnUnknownBackend(t *testing.T) {
 // TestAlignBackendOverride verifies per-request backend selection on a
 // running service, including rejection of unknown names.
 func TestAlignBackendOverride(t *testing.T) {
-	s := New(Config{Seed: 3, Backend: BackendStriped, Metrics: obs.NewRegistry()})
+	s := New(Config{Backend: BackendStriped, Metrics: obs.NewRegistry()})
 	defer s.Close()
 	pairs := plantedPairs(16, 20, 40, 9)
 	want := refScores(pairs)
@@ -102,16 +102,27 @@ func TestAlignBackendOverride(t *testing.T) {
 	}
 }
 
-// TestStripedLadderShape pins the striped ladder: the engine's rung, then
-// the reference rung; cpu-ref is the reference alone.
+// TestStripedLadderShape pins the path of a failing batch: a striped batch
+// whose engine fails is scored once by the CPU reference. So is a cpu-ref
+// batch whose wrapped backend fails, because Config.Wrap never wraps the
+// fallback.
 func TestStripedLadderShape(t *testing.T) {
-	s := New(Config{Seed: 5, Backend: BackendStriped, Metrics: obs.NewRegistry()})
+	wrap, failed := flakyWrap(1, 5)
+	s := New(Config{Backend: BackendStriped, Wrap: wrap, Metrics: obs.NewRegistry()})
 	defer s.Close()
-	if got := s.ladder(BackendStriped); len(got) != 2 || got[0] != TierStriped || got[1] != TierCPU {
-		t.Fatalf("striped ladder = %v", got)
+	pairs := plantedPairs(16, 20, 40, 11)
+	for _, backend := range []string{BackendStriped, BackendCPURef} {
+		res, err := s.AlignBackend(context.Background(), pairs, backend)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		assertScores(t, res.Scores, refScores(pairs))
+		if res.Report.Tier != TierCPU || res.Report.Fallbacks != 1 {
+			t.Fatalf("%s: report %s, want cpu after 1 fallback", backend, res.Report)
+		}
 	}
-	if got := s.ladder(BackendCPURef); len(got) != 1 || got[0] != TierCPU {
-		t.Fatalf("cpu-ref ladder = %v", got)
+	if st := s.Stats(); failed.Load() != 2 || st.Fallbacks != 2 || st.Striped.Pairs != 0 {
+		t.Fatalf("%d injected failures, stats %+v", failed.Load(), st)
 	}
 }
 
@@ -137,7 +148,7 @@ func (c *countdownErrCtx) Err() error {
 // batch start) and surface a typed *AbortError that unwraps to the context
 // error, with the abort position in range.
 func TestCPUBackendAbortsMidBatch(t *testing.T) {
-	s := New(Config{Seed: 2, Backend: BackendCPURef, Metrics: obs.NewRegistry()})
+	s := New(Config{Backend: BackendCPURef, Metrics: obs.NewRegistry()})
 	defer s.Close()
 	// 64 pairs of 100×100 cells: ~6 pairs per cpuPollCells poll window.
 	pairs := plantedPairs(64, 100, 100, 3)
@@ -203,7 +214,7 @@ func TestCacheSharedAcrossBackends(t *testing.T) {
 	pairs := plantedPairs(24, 32, 64, 13)
 	want := refScores(pairs)
 
-	fill := New(Config{Seed: 1, Backend: BackendStriped, Cache: cache, Metrics: obs.NewRegistry()})
+	fill := New(Config{Backend: BackendStriped, Cache: cache, Metrics: obs.NewRegistry()})
 	res, err := fill.Align(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +225,7 @@ func TestCacheSharedAcrossBackends(t *testing.T) {
 	}
 	fill.Close()
 
-	serve := New(Config{Seed: 2, Backend: BackendBitwiseSim, Cache: cache, Metrics: obs.NewRegistry()})
+	serve := New(Config{Backend: BackendBitwiseSim, Cache: cache, Metrics: obs.NewRegistry()})
 	defer serve.Close()
 	res2, err := serve.Align(context.Background(), pairs)
 	if err != nil {
@@ -225,8 +236,8 @@ func TestCacheSharedAcrossBackends(t *testing.T) {
 		t.Fatalf("CacheHits = %d, want %d (striped-filled entries must serve bitwise-sim)",
 			res2.Report.CacheHits, len(pairs))
 	}
-	if len(res2.Report.Attempts) != 0 {
-		t.Fatalf("cached batch still ran attempts: %+v", res2.Report.Attempts)
+	if st := serve.Stats(); st.Batches != 0 {
+		t.Fatalf("cached batch still reached a backend: %+v", st)
 	}
 
 	// And the reverse direction: bitwise-filled entries serve striped.
@@ -245,7 +256,7 @@ func TestCacheSharedAcrossBackends(t *testing.T) {
 }
 
 func fillAgain(cache *aligncache.Cache, pairs []dna.Pair) (*BatchResult, error) {
-	s := New(Config{Seed: 3, Backend: BackendStriped, Cache: cache, Metrics: obs.NewRegistry()})
+	s := New(Config{Backend: BackendStriped, Cache: cache, Metrics: obs.NewRegistry()})
 	defer s.Close()
 	return s.Align(context.Background(), pairs)
 }

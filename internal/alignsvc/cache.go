@@ -34,7 +34,7 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 	}
 	start := time.Now()
 	cache := s.cfg.Cache
-	sc := s.scoring()
+	sc := s.Scoring()
 	lanes := s.cfg.Lanes
 
 	scores := make([]int, len(pairs))
@@ -71,9 +71,9 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 
 	rep := Report{CacheHits: hits}
 
-	// Dispatch the uncached remainder as one batch through the normal
-	// queue/breaker/retry machinery, then publish each score so every
-	// follower (here and in concurrent batches) unblocks.
+	// Dispatch the uncached remainder as one batch through the worker
+	// pool, then publish each score so every follower (here and in
+	// concurrent batches) unblocks.
 	if len(missPairs) > 0 {
 		res, err := s.dispatch(ctx, missPairs, backend)
 		if err != nil {
@@ -97,8 +97,8 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 	}
 
 	// Wait for the keys other batches are computing. A failed flight means
-	// the other batch's ladder exhausted (or its context died) — recompute
-	// those pairs ourselves rather than inheriting a stranger's failure.
+	// the other batch failed (or its context died) — recompute those pairs
+	// ourselves rather than inheriting a stranger's failure.
 	var retryPairs []dna.Pair
 	var retryKeys []aligncache.Key
 	var retryIdxs [][]int
@@ -150,7 +150,7 @@ func (s *Service) WarmCache(pairs []dna.Pair, scores []int) int {
 	if !s.cfg.Cache.Enabled() || len(pairs) != len(scores) {
 		return 0
 	}
-	sc := s.scoring()
+	sc := s.Scoring()
 	for i, p := range pairs {
 		s.cfg.Cache.Put(aligncache.KeyOf(p.X, p.Y, sc, s.cfg.Lanes), scores[i], aligncache.Cost(p.X, p.Y))
 	}

@@ -4,25 +4,16 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/cudasim"
 	"repro/internal/obs"
 )
 
-// TestServiceMetrics drives a faulty batch through the ladder and checks the
+// TestServiceMetrics drives a clean batch through the service and checks the
 // obs registry picked up queue wait, per-tier counters and the pipeline's
 // stage histograms (proving the registry flows service → pipeline).
 func TestServiceMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Config{
-		Seed:         5,
-		Metrics:      reg,
-		MaxAttempts:  2,
-		ValidateFrac: -1,
-		BaseBackoff:  10 * time.Microsecond,
-		MaxBackoff:   50 * time.Microsecond,
-	})
+	s := New(Config{Metrics: reg})
 	defer s.Close()
 
 	pairs := plantedPairs(64, 16, 32, 4)
@@ -60,46 +51,38 @@ func TestServiceMetrics(t *testing.T) {
 	}
 }
 
-// TestServiceRetryAndFallbackMetrics forces bitwise failures so retries,
-// fallbacks and breaker transitions surface in the registry.
+// TestServiceRetryAndFallbackMetrics fails every bitwise call so the CPU
+// fallback surfaces in the registry and the trace. Nothing is retried, and
+// the exposition carries no retry or breaker series.
 func TestServiceRetryAndFallbackMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Config{
-		Seed:            6,
-		Metrics:         reg,
-		MaxAttempts:     2,
-		ValidateFrac:    -1,
-		BaseBackoff:     10 * time.Microsecond,
-		MaxBackoff:      50 * time.Microsecond,
-		BreakerFailures: 1,
-		Faults:          cudasim.FaultConfig{Seed: 11, Launch: 1}, // every launch fails
-	})
+	wrap, _ := flakyWrap(1, 6)
+	s := New(Config{Metrics: reg, Wrap: wrap})
 	defer s.Close()
 
 	pairs := plantedPairs(32, 16, 32, 5)
-	res, err := s.Align(context.Background(), pairs)
+	tr := obs.NewTrace("")
+	res, err := s.Align(obs.WithTrace(context.Background(), tr), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Tier != TierCPU {
-		t.Fatalf("served by %v, want cpu under a total launch-fault storm", res.Report.Tier)
-	}
-	if c := reg.Counter(obs.L("alignsvc_retries_total", "tier", "bitwise")); c.Value() != 1 {
-		t.Errorf("bitwise retries = %d, want 1", c.Value())
+	assertScores(t, res.Scores, refScores(pairs))
+	if res.Report.Tier != TierCPU || res.Report.Fallbacks != 1 {
+		t.Fatalf("report %s, want cpu after 1 fallback", res.Report)
 	}
 	if c := reg.Counter(obs.L("alignsvc_fallbacks_total", "from", "bitwise")); c.Value() != 1 {
 		t.Errorf("bitwise fallbacks = %d, want 1", c.Value())
 	}
-	if c := reg.Counter("alignsvc_faults_injected_total"); c.Value() == 0 {
-		t.Error("faults injected counter still zero")
+	if c := reg.Counter(obs.L("alignsvc_batches_total", "tier", "cpu")); c.Value() != 1 {
+		t.Errorf("cpu batches = %d, want 1", c.Value())
 	}
-	// BreakerFailures=1: both GPU tiers tripped open.
-	for _, tier := range []string{"bitwise", "wordwise"} {
-		if c := reg.Counter(obs.L("alignsvc_breaker_transitions_total", "tier", tier, "to", "open")); c.Value() != 1 {
-			t.Errorf("%s open transitions = %d, want 1", tier, c.Value())
-		}
-		if g := reg.Gauge(obs.L("alignsvc_breaker_state", "tier", tier)); g.Value() != float64(BreakerOpen) {
-			t.Errorf("%s breaker state gauge = %v, want open", tier, g.Value())
+	names := make(map[string]bool)
+	for _, sp := range tr.Spans() {
+		names[sp.Name] = true
+	}
+	for _, want := range []string{"alignsvc.tier.bitwise", "alignsvc.tier.cpu"} {
+		if !names[want] {
+			t.Errorf("trace missing span %q (have %v)", want, names)
 		}
 	}
 
@@ -108,13 +91,12 @@ func TestServiceRetryAndFallbackMetrics(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"# TYPE alignsvc_retries_total counter",
-		"# TYPE alignsvc_breaker_state gauge",
-		`alignsvc_breaker_transitions_total{tier="bitwise",to="open"} 1`,
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("exposition missing %q", want)
+	if want := `alignsvc_fallbacks_total{from="bitwise"} 1`; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition missing %q", want)
+	}
+	for _, gone := range []string{"alignsvc_retries_total", "alignsvc_breaker"} {
+		if strings.Contains(b.String(), gone) {
+			t.Errorf("exposition still carries %q", gone)
 		}
 	}
 }

@@ -2,16 +2,14 @@ package alignsvc
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"repro/internal/cudasim"
 	"repro/internal/striped"
 )
 
-// Tier identifies one rung of a degradation ladder. The ladder a batch
-// walks is chosen by its backend (see Backend); the numeric order here is
-// storage layout, not ladder order — wire formats carry tiers by name.
+// Tier identifies the engine that served a batch: one per backend, TierCPU
+// also for the reference fallback. The numeric order is storage layout;
+// wire formats carry tiers by name.
 type Tier int
 
 const (
@@ -23,9 +21,8 @@ const (
 	// wrong score and only fails on cancellation.
 	TierCPU
 	// TierStriped is the native striped CPU engine (internal/striped):
-	// exact like TierCPU, at wall-clock GCUPS. It heads the "striped"
-	// backend's ladder. (Declared after TierCPU so the older tiers keep
-	// their values; order here is not ladder order.)
+	// exact like TierCPU, at wall-clock GCUPS. (Declared after TierCPU so
+	// the older tiers keep their values.)
 	TierStriped
 	numTiers
 )
@@ -59,29 +56,16 @@ func ParseTier(s string) (Tier, error) {
 	return 0, fmt.Errorf("alignsvc: unknown tier %q", s)
 }
 
-// Attempt records one try of one tier for a batch.
-type Attempt struct {
-	Tier             Tier
-	Err              string // "" on success
-	ValidationFailed bool   // scores came back but disagreed with the reference sample
-	Faults           cudasim.FaultCounts
-}
-
-// Report is the per-batch account of what the service did: every attempt,
-// the tier that finally produced the scores, and the fault/retry tallies.
+// Report is the per-batch account of what the service did: the tier that
+// produced the scores and whether it had to fall back to the reference.
 //
 // With the score cache enabled, CacheHits pairs were served from stored
 // scores and CacheCoalesced pairs piggybacked on another batch's in-flight
-// computation; neither group touched the ladder. When every pair was served
-// from the cache, Attempts is empty and Tier carries no information.
+// computation; neither group reached a backend. When every pair was served
+// from the cache, Tier carries no information.
 type Report struct {
-	Tier      Tier // tier whose scores were returned
-	Attempts  []Attempt
-	Retries   int    // same-tier re-runs after a failure
-	Fallbacks int    // tier downgrades after exhausting a tier's attempts
-	Skips     []Tier // tiers skipped because their circuit breaker was open
-	Faults    cudasim.FaultCounts
-	Validated int           // pairs re-scored on the CPU for validation
+	Tier      Tier          // tier whose scores were returned
+	Fallbacks int           // 1 when the backend failed and the CPU reference served, else 0
 	Elapsed   time.Duration // wall time from dequeue to scores
 
 	CacheHits      int // pairs served from the score cache
@@ -89,33 +73,10 @@ type Report struct {
 }
 
 // String renders a one-line summary, e.g.
-// "bitwise×2 → wordwise×1 → cpu ok (2 retries, 2 fallbacks, 5 faults)".
+// "cpu (1 fallbacks, 3 cache hits, 0 coalesced)".
 func (r Report) String() string {
-	var b strings.Builder
-	var runs []string
-	i := 0
-	for i < len(r.Attempts) {
-		j := i
-		for j < len(r.Attempts) && r.Attempts[j].Tier == r.Attempts[i].Tier {
-			j++
-		}
-		runs = append(runs, fmt.Sprintf("%s×%d", r.Attempts[i].Tier, j-i))
-		i = j
-	}
-	if r.CacheHits > 0 || r.CacheCoalesced > 0 {
-		runs = append([]string{fmt.Sprintf("cache×%d", r.CacheHits+r.CacheCoalesced)}, runs...)
-	}
-	b.WriteString(strings.Join(runs, " → "))
-	fmt.Fprintf(&b, " ok=%s (%d retries, %d fallbacks, %d faults)",
-		r.Tier, r.Retries, r.Fallbacks, r.Faults.Total())
-	if len(r.Skips) > 0 {
-		var names []string
-		for _, t := range r.Skips {
-			names = append(names, t.String())
-		}
-		fmt.Fprintf(&b, " [breaker skipped %s]", strings.Join(names, ", "))
-	}
-	return b.String()
+	return fmt.Sprintf("%s (%d fallbacks, %d cache hits, %d coalesced)",
+		r.Tier, r.Fallbacks, r.CacheHits, r.CacheCoalesced)
 }
 
 // BatchResult is what Align returns: exact scores plus the report.
@@ -125,29 +86,27 @@ type BatchResult struct {
 }
 
 // Stats is a snapshot of the service-level counters, for the stats and
-// observability layers to export.
+// observability layers to export. The JSON names are the /statsz wire
+// format.
 type Stats struct {
 	// Backend is the service's default backend name (per-request overrides
 	// don't change it).
-	Backend string
+	Backend string `json:"backend,omitempty"`
 
-	Batches         int64 // batches completed successfully
-	BatchesFailed   int64 // batches that exhausted every tier
-	Retries         int64 // same-tier re-runs
-	Fallbacks       int64 // tier downgrades
-	CPUFallbacks    int64 // batches ultimately served by the CPU reference
-	DeadlineHits    int64 // batches aborted by context.DeadlineExceeded
-	Cancellations   int64 // batches aborted by context.Canceled
-	PanicsRecovered int64 // kernel/pipeline panics converted to errors
-	FaultsInjected  int64 // injected faults observed across all attempts
+	Batches         int64 `json:"batches"`          // batches completed successfully
+	BatchesFailed   int64 `json:"batches_failed"`   // batches whose reference fallback failed too
+	Fallbacks       int64 `json:"fallbacks"`        // batches re-scored on the CPU reference
+	CPUFallbacks    int64 `json:"cpu_fallbacks"`    // batches served by the CPU reference, cpu-ref included
+	DeadlineHits    int64 `json:"deadline_hits"`    // batches aborted by context.DeadlineExceeded
+	Cancellations   int64 `json:"cancellations"`    // batches aborted by context.Canceled
+	PanicsRecovered int64 `json:"panics_recovered"` // backend panics converted to errors
 
-	BreakerTrips         int64 // closed→open and half-open→open transitions
-	BreakerShortCircuits int64 // tier attempts skipped by an open breaker
-	BreakerProbes        int64 // half-open probe batches admitted
-	Breakers             []BreakerSnapshot
+	// Retries is always 0: the service runs a batch's backend once. It
+	// stays so callers outside this package keep compiling.
+	Retries int64 `json:"-"`
 
 	// Striped is the native striped engine's counter snapshot. The engine
 	// always exists, so the snapshot is always present; its counters stay
 	// zero while nothing routes to it.
-	Striped *striped.Stats
+	Striped *striped.Stats `json:"striped,omitempty"`
 }

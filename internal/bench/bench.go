@@ -99,9 +99,6 @@ type File struct {
 	CreatedAt string `json:"created_at,omitempty"` // RFC 3339 UTC
 	Host      Host   `json:"host"`
 	Runs      []Run  `json:"runs"`
-	// Cluster is present when the sweep was additionally run through a
-	// multi-node peer cluster (swabench -peers N).
-	Cluster *ClusterSection `json:"cluster,omitempty"`
 	// Backends is present when the sweep was additionally served by the
 	// standalone execution backends (swabench -backends). All of its
 	// numbers live on the host (wall) clock.
@@ -316,11 +313,6 @@ func (f *File) Validate() error {
 	}
 	if len(shapes) < 2 {
 		return fmt.Errorf("bench: all %d runs share one (m, n) shape", len(f.Runs))
-	}
-	if f.Cluster != nil {
-		if err := f.Cluster.validate(); err != nil {
-			return err
-		}
 	}
 	if f.Search != nil {
 		if err := f.Search.validate(); err != nil {

@@ -101,61 +101,3 @@ func TestCollectHonoursCancel(t *testing.T) {
 		t.Error("Collect ignored a canceled context")
 	}
 }
-
-func TestCollectClusterSectionValidates(t *testing.T) {
-	f := collectUnit(t)
-	if err := f.CollectCluster(context.Background(), workload.Unit, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c := f.Cluster
-	if c == nil || c.Nodes != 3 {
-		t.Fatalf("cluster section = %+v, want 3 nodes", c)
-	}
-	// Four sweeps of the unit preset went through the entry node.
-	want := int64(4 * len(workload.Unit.NList) * workload.Unit.Pairs)
-	if c.Pairs != want {
-		t.Fatalf("cluster swept %d pairs, want %d", c.Pairs, want)
-	}
-	if c.ForwardedPairs == 0 || c.WarmHitRatio <= 0 {
-		t.Fatalf("cluster routing/caching never engaged: %+v", c)
-	}
-	if c.Rehomes == 0 || c.RingMembers != 2 || c.KilledNode == "" {
-		t.Fatalf("node kill not reflected: %+v", c)
-	}
-
-	// The section must survive the JSON round trip.
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := f.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if back.Cluster == nil || back.Cluster.ForwardedPairs != c.ForwardedPairs {
-		t.Fatalf("cluster section did not round-trip: %+v", back.Cluster)
-	}
-}
-
-func TestValidateRejectsBadCluster(t *testing.T) {
-	f := collectUnit(t)
-	f.Cluster = &ClusterSection{Nodes: 1}
-	if err := f.Validate(); err == nil {
-		t.Fatal("one-node cluster section should fail validation")
-	}
-	f.Cluster = &ClusterSection{
-		Nodes: 3, Batches: 8, Pairs: 256, WallNS: 1,
-		LocalPairs: 100, ForwardedPairs: 156,
-		WarmForwarded: 39, WarmPeerHits: 39, WarmHitRatio: 1,
-		Rehomes: 0, KilledNode: "bench2", RingMembers: 2,
-	}
-	if err := f.Validate(); err == nil {
-		t.Fatal("a cluster section with no re-home after a kill should fail validation")
-	}
-}

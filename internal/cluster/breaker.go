@@ -50,10 +50,10 @@ func (s *BreakerState) UnmarshalText(b []byte) error {
 	return fmt.Errorf("cluster: unknown breaker state %q", b)
 }
 
-// breaker is one peer's circuit breaker. Mirrors the alignsvc tier breaker:
-// closed→open on a failure streak, open→half-open after the cooldown with a
-// single probe slot, half-open→closed on probe success. A 429 from a peer is
-// deliberately NOT reported here — an alive-but-shedding peer is healthy.
+// breaker is one peer's circuit breaker: closed→open on a failure streak,
+// open→half-open after the cooldown with a single probe slot,
+// half-open→closed on probe success. A 429 from a peer is deliberately NOT
+// reported here — an alive-but-shedding peer is healthy.
 type breaker struct {
 	mu        sync.Mutex
 	threshold int

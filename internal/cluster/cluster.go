@@ -605,24 +605,15 @@ func (c *Cluster) Align(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchR
 }
 
 // mergeReport folds one group's local report into the batch report. Remote
-// groups contribute nothing here (their ladder ran elsewhere); their cache
+// groups contribute nothing here (they were served elsewhere); their cache
 // hits are tracked in the cluster stats, not the batch report.
 func mergeReport(dst *alignsvc.Report, src *alignsvc.Report) {
-	if len(dst.Attempts) == 0 && dst.Retries == 0 && dst.CacheHits == 0 && dst.CacheCoalesced == 0 {
+	// Report the worst tier any local group needed. TierBitwise, the zero
+	// Tier, is the lowest, so the first group needs no special case.
+	if src.Tier > dst.Tier {
 		dst.Tier = src.Tier
-	} else if src.Tier > dst.Tier {
-		dst.Tier = src.Tier // report the worst tier any local group needed
 	}
-	dst.Attempts = append(dst.Attempts, src.Attempts...)
-	dst.Retries += src.Retries
 	dst.Fallbacks += src.Fallbacks
-	dst.Skips = append(dst.Skips, src.Skips...)
-	dst.Faults.HtoD += src.Faults.HtoD
-	dst.Faults.DtoH += src.Faults.DtoH
-	dst.Faults.Alloc += src.Faults.Alloc
-	dst.Faults.Launch += src.Faults.Launch
-	dst.Faults.BitFlips += src.Faults.BitFlips
-	dst.Validated += src.Validated
 	if src.Elapsed > dst.Elapsed {
 		dst.Elapsed = src.Elapsed
 	}

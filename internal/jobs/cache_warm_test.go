@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/aligncache"
 	"repro/internal/alignsvc"
-	"repro/internal/cudasim"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 )
@@ -16,9 +15,7 @@ import (
 func newCachedTestService(t *testing.T) *alignsvc.Service {
 	t.Helper()
 	svc := alignsvc.New(alignsvc.Config{
-		Seed:         7,
-		Workers:      2,
-		ValidateFrac: 1,
+		Workers: 2,
 		Cache: aligncache.New(aligncache.Config{
 			MaxBytes: 4 << 20,
 			Metrics:  obs.NewRegistry(),
@@ -85,7 +82,7 @@ func TestWarmingSkippedWithoutCache(t *testing.T) {
 	dir := t.TempDir()
 	pairs, _ := testBatch(6, 8)
 
-	svc1 := newTestService(t, cudasim.FaultConfig{})
+	svc1 := newTestService(t, nil)
 	m1, store1 := newTestManager(t, dir, svc1, nil)
 	snap, _, err := m1.Submit(pairs, "")
 	if err != nil {
@@ -95,7 +92,7 @@ func TestWarmingSkippedWithoutCache(t *testing.T) {
 	m1.Close()
 	store1.Close()
 
-	svc2 := newTestService(t, cudasim.FaultConfig{})
+	svc2 := newTestService(t, nil)
 	m2, store2 := newTestManager(t, dir, svc2, nil)
 	defer store2.Close()
 	defer m2.Close()

@@ -7,35 +7,24 @@ import (
 	"time"
 
 	"repro/internal/alignsvc"
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/swa"
 )
 
-// jobsChaosFaults puts every fault class at >= 10%, including silent bit
-// flips that only full score validation catches.
-var jobsChaosFaults = cudasim.FaultConfig{
-	Seed:    20170529,
-	HtoD:    0.15,
-	DtoH:    0.15,
-	Alloc:   0.10,
-	Launch:  0.12,
-	BitFlip: 0.15,
-}
-
 // TestJobsChaosSoak is the durability guarantee under fire, enforced end to
 // end: rounds of a kill/restart loop over one shared WAL directory, each
-// round running the manager against a service whose simulated device fails
-// transfers, allocations and launches and silently flips bits, with random
-// job cancellations thrown in. All but the last round end in a hard Close
-// mid-execution (the in-process stand-in for SIGKILL); every restart must
-// replay the WAL, requeue incomplete jobs and resume them from their last
-// checkpoint. At the end, every job must be terminal with either exact
-// reference scores or a clean cancellation — and the WAL audit must show no
-// (job, chunk) checkpointed twice, i.e. recovery never re-executed
-// completed work. Runs in CI under -race with a wall-clock timeout.
+// round running the manager against a service whose backend fails a seeded
+// fifth of its calls (each answered exactly by the CPU-reference
+// fallback) and holds every other call for 5 ms, with random job
+// cancellations thrown in. All but the last
+// round end in a hard Close mid-execution (the in-process stand-in for
+// SIGKILL); every restart must replay the WAL, requeue incomplete jobs and
+// resume them from their last checkpoint. At the end, every job must be
+// terminal with either exact reference scores or a clean cancellation —
+// and the WAL audit must show no (job, chunk) checkpointed twice, i.e.
+// recovery never re-executed completed work. Runs in CI under -race with a wall-clock timeout.
 func TestJobsChaosSoak(t *testing.T) {
 	dir := t.TempDir()
 	rounds, jobsPerRound := 6, 5
@@ -43,18 +32,15 @@ func TestJobsChaosSoak(t *testing.T) {
 		rounds, jobsPerRound = 3, 4
 	}
 
-	newChaosManager := func() (*Manager, *jobstore.Store, *alignsvc.Service) {
+	newChaosManager := func(round int) (*Manager, *jobstore.Store, *alignsvc.Service) {
+		storm := flakyWrap(0.2, 20170529+100*uint64(round))
 		svc := alignsvc.New(alignsvc.Config{
-			Seed:            99,
-			Workers:         4,
-			MaxAttempts:     2,
-			BaseBackoff:     100 * time.Microsecond,
-			MaxBackoff:      500 * time.Microsecond,
-			ValidateFrac:    1, // catch every injected bit flip
-			BreakerFailures: 3,
-			BreakerCooldown: 20 * time.Millisecond,
-			Faults:          jobsChaosFaults,
-			Metrics:         obs.NewRegistry(),
+			Backend: alignsvc.BackendStriped,
+			Workers: 4,
+			Wrap: func(be alignsvc.Backend) alignsvc.Backend {
+				return storm(slowBackend{Backend: be, delay: 5 * time.Millisecond})
+			},
+			Metrics: obs.NewRegistry(),
 		})
 		store, _, err := jobstore.Open(jobstore.Options{Dir: dir, Sync: jobstore.SyncNever})
 		if err != nil {
@@ -81,9 +67,8 @@ func TestJobsChaosSoak(t *testing.T) {
 
 	// Each job is identified by its idempotency key; the key's number seeds
 	// the deterministic batch, so reference scores are recomputable at the
-	// end without carrying state across kills. Sequences are long enough
-	// that a job takes real wall time even when open breakers short-circuit
-	// the ladder straight to the CPU rung — the kill must land mid-work.
+	// end without carrying state across kills. The 5 ms hold per chunk
+	// makes a job take real wall time, so the kill lands mid-work.
 	chaosJobBatch := func(n int) ([]dna.Pair, []int) {
 		rng := rand.New(rand.NewPCG(uint64(n), 0xc4a05))
 		pairs := dna.RandomPairs(rng, 32, 64, 128)
@@ -98,7 +83,7 @@ func TestJobsChaosSoak(t *testing.T) {
 	var totalRecovered, totalSkipped int64
 
 	for round := 0; round < rounds; round++ {
-		m, store, svc := newChaosManager()
+		m, store, svc := newChaosManager(round)
 		rng := rand.New(rand.NewPCG(uint64(round), 0xdead))
 		totalRecovered += m.Stats().Recovered
 

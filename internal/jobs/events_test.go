@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 	"repro/internal/jobstore"
 	"repro/internal/tenant"
@@ -205,7 +204,7 @@ func TestHubSubscribeSeedAlwaysFirst(t *testing.T) {
 // goroutines.
 func TestEventsObserveEveryChunk(t *testing.T) {
 	before := runtime.NumGoroutine()
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	m, store := newTestManager(t, t.TempDir(), svc, func(c *Config) {
 		c.EventBuffer = 64
 	})

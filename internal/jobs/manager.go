@@ -1,12 +1,12 @@
 // Package jobs turns the synchronous alignment service into durable async
 // batch jobs. A Manager splits each submitted batch into fixed-size chunks,
-// runs every chunk through alignsvc.Align (inheriting its retry, circuit
-// breaker and degradation machinery), and checkpoints each completed
-// chunk's scores to a jobstore WAL — so a crash, SIGKILL or drain loses at
-// most the chunk in flight. On startup the manager replays the WAL and
-// requeues every incomplete job, resuming from the last checkpoint:
-// already-checkpointed chunks are skipped, never re-executed (the store
-// rejects duplicate checkpoints outright).
+// runs every chunk through alignsvc.Align (inheriting its cache and its
+// CPU-reference fallback), and checkpoints each completed chunk's scores
+// to a jobstore WAL — so a crash, SIGKILL or drain loses at most the chunk
+// in flight. On startup the manager replays the WAL and requeues every
+// incomplete job, resuming from the last checkpoint: already-checkpointed
+// chunks are skipped, never re-executed (the store rejects duplicate
+// checkpoints outright).
 //
 // Execution is a bounded pool: MaxConcurrent runner goroutines pull job IDs
 // from a FIFO queue whose depth Submit enforces (ErrQueueFull beyond it).
@@ -71,8 +71,8 @@ type Config struct {
 	// MaxQueued bounds how many more may wait in FIFO order (default 64);
 	// beyond that Submit fails fast with ErrQueueFull.
 	MaxConcurrent, MaxQueued int
-	// ChunkTimeout is the per-chunk deadline flowing into the service's
-	// ladder (default 60s). A chunk that exceeds it fails the job.
+	// ChunkTimeout is the per-chunk deadline flowing into the service
+	// (default 60s). A chunk that exceeds it fails the job.
 	ChunkTimeout time.Duration
 	// TTL is how long terminal jobs stay queryable before GC drops them
 	// from the store (default 15m). GCInterval is the sweep period

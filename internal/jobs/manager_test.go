@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/alignsvc"
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
@@ -27,43 +27,66 @@ func testBatch(seed uint64, count int) ([]dna.Pair, []int) {
 	return pairs, want
 }
 
-// newTestService builds a fast service: microsecond backoffs, full
-// validation, exact scores.
-func newTestService(t *testing.T, faults cudasim.FaultConfig) *alignsvc.Service {
+// newTestService builds a fast two-worker service; wrap, when set, wraps
+// its backends (Config.Wrap).
+func newTestService(t *testing.T, wrap func(alignsvc.Backend) alignsvc.Backend) *alignsvc.Service {
 	t.Helper()
 	svc := alignsvc.New(alignsvc.Config{
-		Seed:         7,
-		Workers:      2,
-		MaxAttempts:  2,
-		BaseBackoff:  50 * time.Microsecond,
-		MaxBackoff:   200 * time.Microsecond,
-		ValidateFrac: 1,
-		Faults:       faults,
-		Metrics:      obs.NewRegistry(),
+		Workers: 2,
+		Wrap:    wrap,
+		Metrics: obs.NewRegistry(),
 	})
 	t.Cleanup(svc.Close)
 	return svc
 }
 
-// newSlowService builds a service where every GPU attempt fails (forcing
-// the full retry ladder down to the CPU rung) with real backoffs, so each
-// chunk takes tens of milliseconds — long enough for tests to observe jobs
-// mid-flight. Scores are still exact: the CPU rung computes them.
+// newSlowService builds a service where every chunk holds its worker for
+// 150 ms — a timer, not CPU — before the scalar reference scores it: long
+// enough for tests to observe jobs mid-flight, with exact scores.
 func newSlowService(t *testing.T) *alignsvc.Service {
 	t.Helper()
 	svc := alignsvc.New(alignsvc.Config{
-		Seed:            7,
-		Workers:         2,
-		MaxAttempts:     2,
-		BaseBackoff:     10 * time.Millisecond,
-		MaxBackoff:      10 * time.Millisecond,
-		ValidateFrac:    1,
-		Faults:          cudasim.FaultConfig{Seed: 1, Launch: 1.0},
-		BreakerFailures: -1,
-		Metrics:         obs.NewRegistry(),
+		Backend: alignsvc.BackendCPURef,
+		Workers: 2,
+		Wrap: func(be alignsvc.Backend) alignsvc.Backend {
+			return slowBackend{Backend: be, delay: 150 * time.Millisecond}
+		},
+		Metrics: obs.NewRegistry(),
 	})
 	t.Cleanup(svc.Close)
 	return svc
+}
+
+// errStorm is the failure flakyWrap injects.
+var errStorm = errors.New("injected backend failure")
+
+// flakyBackend fails a seeded share of its engine calls before they run,
+// standing in for a backend that rejects batches.
+type flakyBackend struct {
+	alignsvc.Backend
+	rate float64
+
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (b *flakyBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
+	b.mu.Lock()
+	fail := b.rng.Float64() < b.rate
+	b.mu.Unlock()
+	if fail {
+		return nil, alignsvc.BatchStats{}, errStorm
+	}
+	return b.Backend.AlignBatch(ctx, pairs, opts)
+}
+
+// flakyWrap is a Config.Wrap failing rate of every backend's calls, seeded
+// so a failing run replays.
+func flakyWrap(rate float64, seed uint64) func(alignsvc.Backend) alignsvc.Backend {
+	return func(be alignsvc.Backend) alignsvc.Backend {
+		seed++
+		return &flakyBackend{Backend: be, rate: rate, rng: rand.New(rand.NewPCG(seed, 0xc4a05))}
+	}
 }
 
 func newTestManager(t *testing.T, dir string, svc *alignsvc.Service, tweak func(*Config)) (*Manager, *jobstore.Store) {
@@ -113,7 +136,7 @@ func waitState(t *testing.T, m *Manager, id string, want jobstore.State, d time.
 }
 
 func TestJobRunsToCompletion(t *testing.T) {
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	m, store := newTestManager(t, t.TempDir(), svc, nil)
 	defer store.Close()
 	defer m.Close()
@@ -146,7 +169,7 @@ func TestJobRunsToCompletion(t *testing.T) {
 }
 
 func TestIdempotencyKeyDedup(t *testing.T) {
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	m, store := newTestManager(t, t.TempDir(), svc, nil)
 	defer store.Close()
 	defer m.Close()
@@ -283,7 +306,7 @@ func TestRecoveryResumesFromCheckpoints(t *testing.T) {
 
 	// Phase 2: reopen with a fast service; recovery must requeue the job
 	// and finish it without re-executing the checkpointed chunks.
-	fast := newTestService(t, cudasim.FaultConfig{})
+	fast := newTestService(t, nil)
 	m2, store2 := newTestManager(t, dir, fast, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.ChunkSize = 2
@@ -386,7 +409,7 @@ func TestDrainRequeuesRunningJob(t *testing.T) {
 	m.Close()
 
 	// The requeued job resumes on the next manager and completes.
-	fast := newTestService(t, cudasim.FaultConfig{})
+	fast := newTestService(t, nil)
 	m2, store2 := newTestManager(t, dir, fast, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.ChunkSize = 1
@@ -401,7 +424,7 @@ func TestDrainRequeuesRunningJob(t *testing.T) {
 }
 
 func TestGCDropsExpiredTerminalJobs(t *testing.T) {
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	now := time.Now()
 	clock := func() time.Time { return now }
 	m, store := newTestManager(t, t.TempDir(), svc, func(c *Config) {
@@ -439,9 +462,7 @@ func TestGCDropsExpiredTerminalJobs(t *testing.T) {
 }
 
 func TestJobUnderFaultsStillExact(t *testing.T) {
-	svc := newTestService(t, cudasim.FaultConfig{
-		Seed: 42, HtoD: 0.2, DtoH: 0.2, Launch: 0.2, BitFlip: 0.2,
-	})
+	svc := newTestService(t, flakyWrap(0.2, 42))
 	m, store := newTestManager(t, t.TempDir(), svc, nil)
 	defer store.Close()
 	defer m.Close()

@@ -12,22 +12,28 @@ import (
 
 	"repro/internal/alignsvc"
 	"repro/internal/corpus"
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
-// slowBackend throttles every scoring batch, giving tests a window to
-// interrupt a running search job. Scores stay exact.
+// slowBackend throttles every scoring batch with a timer, not CPU, giving
+// tests a window to interrupt a running job; it gives up as soon as the
+// context ends. Scores stay exact.
 type slowBackend struct {
 	alignsvc.Backend
 	delay time.Duration
 }
 
 func (s slowBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
-	time.Sleep(s.delay)
+	t := time.NewTimer(s.delay)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return nil, alignsvc.BatchStats{}, ctx.Err()
+	case <-t.C:
+	}
 	return s.Backend.AlignBatch(ctx, pairs, opts)
 }
 
@@ -76,7 +82,7 @@ func newSearchCorpus(t *testing.T, seqs int, delay time.Duration) (*corpus.Regis
 
 func TestSearchJobRunsToCompletion(t *testing.T) {
 	corpora, q := newSearchCorpus(t, 1000, 0)
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	m, store := newTestManager(t, t.TempDir(), svc, func(c *Config) {
 		c.Corpora = corpora
 		c.SearchChunkSize = 100
@@ -127,7 +133,7 @@ func TestSearchJobRunsToCompletion(t *testing.T) {
 
 func TestSearchSubmitRejections(t *testing.T) {
 	corpora, q := newSearchCorpus(t, 100, 0)
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	m, store := newTestManager(t, t.TempDir(), svc, func(c *Config) { c.Corpora = corpora })
 	defer store.Close()
 	defer m.Close()
@@ -158,7 +164,7 @@ func TestSearchSubmitRejections(t *testing.T) {
 func TestSearchJobResumesFromCheckpoints(t *testing.T) {
 	corpora, q := newSearchCorpus(t, 1000, 5*time.Millisecond)
 	dir := t.TempDir()
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	p := corpus.Params{TopK: 5, MinKmerHits: -1, MaxEdits: -1} // scan everything: plenty of chunks
 
 	m1, store1 := newTestManager(t, dir, svc, func(c *Config) {
@@ -236,7 +242,7 @@ func TestSearchJobResumesFromCheckpoints(t *testing.T) {
 // corpus fails typed instead of silently mixing result sets.
 func TestSearchJobFingerprintMismatch(t *testing.T) {
 	corpora, q := newSearchCorpus(t, 100, 0)
-	svc := newTestService(t, cudasim.FaultConfig{})
+	svc := newTestService(t, nil)
 	dir := t.TempDir()
 
 	// Submit against "ref", then run the job under a registry whose "ref"

@@ -39,7 +39,7 @@ type Config struct {
 	UseShuffle bool
 	// GlobalBytes overrides the device global-memory capacity (0 = size
 	// automatically for the batch). Small values force allocation failures,
-	// which the alignsvc degradation ladder and the OOM tests rely on.
+	// which the alignsvc fallback and OOM tests rely on.
 	GlobalBytes int64
 	// Faults, when non-nil, is attached to the simulated device so
 	// transfers, allocations and launches can fail (or flip bits)

@@ -36,18 +36,24 @@ func postAlignBackend(t *testing.T, url, backend string, body any) (int, []byte)
 }
 
 // TestBackendHeaderOverride verifies the X-SWA-Backend header steers one
-// request to the named backend (visible in the report's serving tier) with
-// exact scores, and that an unknown name is rejected as bad_backend before
-// any work runs.
+// request to each named backend (visible in the report's serving tier) with
+// exact scores and no fallback, and that an unknown name is rejected as
+// bad_backend before any work runs.
 func TestBackendHeaderOverride(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 4, Backend: alignsvc.BackendStriped}, Config{})
+	_, ts := newTestServer(t, alignsvc.Config{Backend: alignsvc.BackendStriped}, Config{})
 	pairs, want := testPairs(24, 20, 40, 11)
 
-	for backend, tier := range map[string]alignsvc.Tier{
-		"cpu-ref":     alignsvc.TierCPU,
-		"striped":     alignsvc.TierStriped,
-		"bitwise-sim": alignsvc.TierBitwise,
-	} {
+	tiers := map[string]alignsvc.Tier{
+		alignsvc.BackendStriped:     alignsvc.TierStriped,
+		alignsvc.BackendBitwiseSim:  alignsvc.TierBitwise,
+		alignsvc.BackendWordwiseSim: alignsvc.TierWordwise,
+		alignsvc.BackendCPURef:      alignsvc.TierCPU,
+	}
+	for _, backend := range alignsvc.BackendNames() {
+		tier, ok := tiers[backend]
+		if !ok {
+			t.Fatalf("no serving tier listed for backend %q", backend)
+		}
 		status, raw := postAlignBackend(t, ts.URL, backend, AlignRequest{Pairs: pairsJSON(pairs)})
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", backend, status, raw)
@@ -61,8 +67,8 @@ func TestBackendHeaderOverride(t *testing.T) {
 				t.Fatalf("%s: score[%d] = %d, want %d", backend, i, res.Scores[i], want[i])
 			}
 		}
-		if res.Report.Tier != tier {
-			t.Fatalf("%s: served by %v, want %v", backend, res.Report.Tier, tier)
+		if res.Report.Tier != tier || res.Report.Fallbacks != 0 {
+			t.Fatalf("%s: report %s, want %v with no fallback", backend, res.Report, tier)
 		}
 	}
 
@@ -91,7 +97,7 @@ func TestBackendHeaderOverride(t *testing.T) {
 // TestStatszReportsBackend verifies /statsz carries the service's default
 // backend and the striped engine counters after striped-served traffic.
 func TestStatszReportsBackend(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5, Backend: alignsvc.BackendStriped}, Config{})
+	_, ts := newTestServer(t, alignsvc.Config{Backend: alignsvc.BackendStriped}, Config{})
 	pairs, _ := testPairs(8, 16, 32, 3)
 	if status, raw := postAlign(t, ts.URL, AlignRequest{Pairs: pairsJSON(pairs)}); status != http.StatusOK {
 		t.Fatalf("align: status %d: %s", status, raw)

@@ -4,29 +4,56 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/alignsvc"
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 	"repro/internal/swa"
 )
 
-// chaosFaults is the storm the soak runs under: every fault class at ≥ 10%,
-// including silent bit flips that only full score validation can catch.
-var chaosFaults = cudasim.FaultConfig{
-	Seed:    20170529,
-	HtoD:    0.15,
-	DtoH:    0.15,
-	Alloc:   0.10,
-	Launch:  0.12,
-	BitFlip: 0.15,
+// errStorm is the failure the chaos storm injects.
+var errStorm = errors.New("chaos: injected backend failure")
+
+// stormBackend fails a seeded share of its engine calls before they run,
+// standing in for a backend that rejects batches.
+type stormBackend struct {
+	alignsvc.Backend
+	rate   float64
+	failed *atomic.Int64
+
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (b *stormBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
+	b.mu.Lock()
+	fail := b.rng.Float64() < b.rate
+	b.mu.Unlock()
+	if fail {
+		b.failed.Add(1)
+		return nil, alignsvc.BatchStats{}, errStorm
+	}
+	return b.Backend.AlignBatch(ctx, pairs, opts)
+}
+
+// chaosStorm is the storm the soak runs under: a Config.Wrap failing 20% of
+// every backend's calls, seeded so a failing run replays. failed counts
+// the injected failures.
+func chaosStorm(seed uint64) (wrap func(alignsvc.Backend) alignsvc.Backend, failed *atomic.Int64) {
+	failed = new(atomic.Int64)
+	return func(be alignsvc.Backend) alignsvc.Backend {
+		seed++
+		return &stormBackend{Backend: be, rate: 0.2, failed: failed,
+			rng: rand.New(rand.NewPCG(seed, 0xc4a05))}
+	}, failed
 }
 
 // chaosBatch returns the deterministic batch and reference scores for one
@@ -42,24 +69,17 @@ func chaosBatch(client, iter int) ([]dna.Pair, []int) {
 }
 
 // TestChaosSoak is the no-hang/no-panic/no-wrong-score guarantee, enforced
-// end to end: concurrent clients hammer a server whose simulated device
-// fails transfers, allocations and launches and silently flips bits, mixed
-// with hostile requests; every single response must be either an exact
-// score set or a clean, typed error with the right HTTP status. Afterwards
-// the faults stop and the circuit breakers must let the bitwise tier come
-// back. Runs in CI under -race with a wall-clock timeout.
+// end to end: concurrent clients hammer a server whose backend fails a
+// seeded fifth of its calls, mixed with hostile requests; every single
+// response must be either an exact score set or a clean, typed error with
+// the right HTTP status, and the server must then drain cleanly. Runs in
+// CI under -race with a wall-clock timeout.
 func TestChaosSoak(t *testing.T) {
+	wrap, failed := chaosStorm(20170529)
 	svc := alignsvc.New(alignsvc.Config{
-		Seed:            99,
-		Workers:         4,
-		Queue:           8,
-		MaxAttempts:     2,
-		BaseBackoff:     100 * time.Microsecond,
-		MaxBackoff:      500 * time.Microsecond,
-		ValidateFrac:    1, // catch every injected bit flip
-		BreakerFailures: 3,
-		BreakerCooldown: 50 * time.Millisecond,
-		Faults:          chaosFaults,
+		Workers: 4,
+		Queue:   8,
+		Wrap:    wrap,
 	})
 	defer svc.Close()
 	srv, err := New(Config{
@@ -162,44 +182,12 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal("chaos soak produced zero successful responses")
 	}
 	st := svc.Stats()
-	if st.FaultsInjected == 0 {
-		t.Fatalf("no faults injected during the storm: %+v", st)
+	if failed.Load() == 0 || st.Fallbacks != failed.Load() {
+		t.Fatalf("storm injected %d failures, service counted %d fallbacks: %+v", failed.Load(), st.Fallbacks, st)
 	}
-	t.Logf("storm: %+v; service stats: retries=%d fallbacks=%d validated-batches=%d trips=%d shorts=%d",
-		total, st.Retries, st.Fallbacks, st.Batches, st.BreakerTrips, st.BreakerShortCircuits)
+	t.Logf("storm: %+v; service stats: fallbacks=%d batches=%d", total, st.Fallbacks, st.Batches)
 
-	// Phase 2: the faults stop. Breakers (if tripped) must recover via
-	// half-open probes, and the bitwise tier must serve again.
-	svc.SetFaults(cudasim.FaultConfig{})
-	pairs, want := chaosBatch(0, 0)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		time.Sleep(60 * time.Millisecond) // let a breaker cooldown elapse
-		status, raw, err := postWith(client, ts.URL, AlignRequest{Pairs: pairsJSON(pairs)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status != http.StatusOK {
-			t.Fatalf("clean-phase request failed: %d %s", status, raw)
-		}
-		var res AlignResponse
-		if err := json.Unmarshal(raw, &res); err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if res.Scores[k] != want[k] {
-				t.Fatalf("clean-phase wrong score [%d] = %d, want %d", k, res.Scores[k], want[k])
-			}
-		}
-		if res.Report.Tier == alignsvc.TierBitwise {
-			break // recovered
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bitwise tier never recovered; last report %s, stats %+v", res.Report, svc.Stats())
-		}
-	}
-
-	// Phase 3: drain under load must terminate cleanly.
+	// Drain under load must terminate cleanly.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.BeginDrain()

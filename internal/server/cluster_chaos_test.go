@@ -82,7 +82,6 @@ func newClusterNodes(t *testing.T, count int, tune func(i int, cfg *cluster.Conf
 		// Each node has a score cache — key-affinity routing and the drain
 		// handoff exist to keep these warm.
 		n.svc = alignsvc.New(alignsvc.Config{
-			Seed:    uint64(100 + i),
 			Workers: 4,
 			Queue:   64,
 			Cache:   aligncache.New(aligncache.Config{MaxBytes: 16 << 20, Metrics: reg}),
@@ -394,7 +393,7 @@ func TestClusterChaosSoak(t *testing.T) {
 // typed error instead of bouncing around the ring.
 func TestForwardLoopGuard(t *testing.T) {
 	reg := obs.NewRegistry()
-	svc := alignsvc.New(alignsvc.Config{Seed: 31, Metrics: reg})
+	svc := alignsvc.New(alignsvc.Config{Metrics: reg})
 	cl, err := cluster.New(cluster.Config{
 		NodeID:  "n1",
 		Local:   svc,
@@ -490,9 +489,9 @@ func TestForwardLoopGuard(t *testing.T) {
 // TestClusterSingleNodeIdentity pins the degenerate deployment: a one-node
 // "cluster" must answer byte-for-byte like a server with no cluster at all.
 func TestClusterSingleNodeIdentity(t *testing.T) {
-	_, plain := newTestServer(t, alignsvc.Config{Seed: 41}, Config{})
+	_, plain := newTestServer(t, alignsvc.Config{}, Config{})
 
-	svc := alignsvc.New(alignsvc.Config{Seed: 41})
+	svc := alignsvc.New(alignsvc.Config{})
 	cl, err := cluster.New(cluster.Config{
 		NodeID:  "solo",
 		Local:   svc,

@@ -125,7 +125,7 @@ func pollJobDone(t *testing.T, url, id string, d time.Duration) jobs.Snapshot {
 }
 
 func TestJobsAPILifecycle(t *testing.T) {
-	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Seed: 3, Workers: 2, ValidateFrac: 1}, Config{}, nil)
+	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2}, Config{}, nil)
 	pairs, want := testPairs(10, 8, 16, 77)
 
 	var snap jobs.Snapshot
@@ -179,7 +179,7 @@ func TestJobsAPILifecycle(t *testing.T) {
 }
 
 func TestJobsAPIIdempotencyKey(t *testing.T) {
-	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Seed: 3, Workers: 2}, Config{}, nil)
+	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2}, Config{}, nil)
 	pairs, _ := testPairs(4, 8, 16, 78)
 	body := JobSubmitRequest{Pairs: pairsJSON(pairs)}
 
@@ -275,7 +275,7 @@ func TestJobsAPICancelAndConflicts(t *testing.T) {
 }
 
 func TestJobsAPIValidationAndRouting(t *testing.T) {
-	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Seed: 3, Workers: 2}, Config{MaxPairs: 8}, nil)
+	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2}, Config{MaxPairs: 8}, nil)
 
 	cases := []struct {
 		name       string
@@ -390,7 +390,7 @@ func TestJobsAPIDrainRequeuesAndRefuses(t *testing.T) {
 }
 
 func TestStatszOmitsJobsWhenUnconfigured(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 3, Workers: 2}, Config{})
+	_, ts := newTestServer(t, alignsvc.Config{Workers: 2}, Config{})
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 }
 
 func TestMetricszExposesFullStack(t *testing.T) {
-	_, url, _ := newObsServer(t, alignsvc.Config{Seed: 7}, Config{})
+	_, url, _ := newObsServer(t, alignsvc.Config{}, Config{})
 	pairs, _ := testPairs(16, 16, 32, 9)
 	if status, raw := postAlign(t, url, AlignRequest{Pairs: pairsJSON(pairs)}); status != http.StatusOK {
 		t.Fatalf("align: %d %s", status, raw)
@@ -72,7 +72,7 @@ func TestMetricszExposesFullStack(t *testing.T) {
 		// service layer
 		`alignsvc_batches_total{tier="bitwise"} 1`,
 		"# TYPE alignsvc_queue_wait_seconds histogram",
-		`alignsvc_breaker_state{tier="bitwise"} 0`,
+		`alignsvc_batch_seconds_bucket{tier="bitwise",le="+Inf"} 1`,
 		// pipeline layer
 		`pipeline_stage_sim_seconds_bucket{pipeline="bitwise",stage="swa",le="+Inf"} 1`,
 		"# TYPE pipeline_gcups histogram",
@@ -85,7 +85,7 @@ func TestMetricszExposesFullStack(t *testing.T) {
 }
 
 func TestTraceIDFlowsEndToEnd(t *testing.T) {
-	_, url, _ := newObsServer(t, alignsvc.Config{Seed: 8}, Config{})
+	_, url, _ := newObsServer(t, alignsvc.Config{}, Config{})
 
 	// A caller-supplied trace ID is honoured and echoed back.
 	req, _ := http.NewRequest(http.MethodPost, url+"/align", strings.NewReader(`{"bad json`))
@@ -118,7 +118,7 @@ func TestTraceIDFlowsEndToEnd(t *testing.T) {
 }
 
 func TestTracezRecordsAlignSpans(t *testing.T) {
-	srv, url, _ := newObsServer(t, alignsvc.Config{Seed: 9}, Config{})
+	srv, url, _ := newObsServer(t, alignsvc.Config{}, Config{})
 	pairs, _ := testPairs(8, 16, 32, 10)
 	if status, raw := postAlign(t, url, AlignRequest{Pairs: pairsJSON(pairs)}); status != http.StatusOK {
 		t.Fatalf("align: %d %s", status, raw)
@@ -152,7 +152,7 @@ func TestTracezRecordsAlignSpans(t *testing.T) {
 }
 
 func TestOpsHandlerServesPprofAndMetrics(t *testing.T) {
-	srv, url, _ := newObsServer(t, alignsvc.Config{Seed: 10}, Config{})
+	srv, url, _ := newObsServer(t, alignsvc.Config{}, Config{})
 	ops := newOpsServer(t, srv)
 
 	status, _, raw := get(t, ops+"/debug/pprof/cmdline")

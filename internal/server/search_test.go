@@ -66,7 +66,7 @@ func newServerCorpus(t *testing.T, seqs int) (*corpus.Registry, dna.Seq) {
 
 func TestSearchEndpoint(t *testing.T) {
 	corpora, q := newServerCorpus(t, 800)
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5, Workers: 2}, Config{Corpora: corpora})
+	_, ts := newTestServer(t, alignsvc.Config{Workers: 2}, Config{Corpora: corpora})
 
 	var got SearchResponse
 	resp := doJSON(t, http.MethodPost, ts.URL+"/search",
@@ -113,7 +113,7 @@ func TestSearchEndpoint(t *testing.T) {
 
 func TestSearchEndpointRejections(t *testing.T) {
 	corpora, q := newServerCorpus(t, 100)
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5, Workers: 2}, Config{Corpora: corpora})
+	_, ts := newTestServer(t, alignsvc.Config{Workers: 2}, Config{Corpora: corpora})
 
 	check := func(method string, body any, wantStatus int, wantCode string) {
 		t.Helper()
@@ -146,7 +146,7 @@ func TestSearchEndpointRejections(t *testing.T) {
 	check(http.MethodPost, "{bad json", http.StatusBadRequest, CodeBadRequest)
 
 	// A server with no corpora has no /search route at all.
-	_, ts2 := newTestServer(t, alignsvc.Config{Seed: 5, Workers: 2}, Config{})
+	_, ts2 := newTestServer(t, alignsvc.Config{Workers: 2}, Config{})
 	resp, err := http.Post(ts2.URL+"/search", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestSearchEndpointRejections(t *testing.T) {
 // matches the synchronous endpoint.
 func TestSearchJobOverHTTP(t *testing.T) {
 	corpora, q := newServerCorpus(t, 600)
-	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Seed: 5, Workers: 2},
+	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2},
 		Config{Corpora: corpora},
 		func(jc *jobs.Config) {
 			jc.Corpora = corpora
@@ -232,7 +232,7 @@ func TestSearchTenantCellQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5, Workers: 2},
+	_, ts := newTestServer(t, alignsvc.Config{Workers: 2},
 		Config{Corpora: corpora, Tenants: reg})
 
 	post := func(body SearchRequest) (int, ErrorResponse) {

@@ -243,7 +243,7 @@ type ServerStats struct {
 }
 
 // StatszResponse is the /statsz body: admission counters plus the service's
-// own counters (including circuit-breaker states), the score-cache counters
+// own counters, the score-cache counters
 // when a cache is configured, and the job manager's counters when the async
 // job API is mounted.
 type StatszResponse struct {
@@ -788,7 +788,7 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (pairs []d
 
 // parsePairs converts and bounds client-supplied pairs. The pipeline wants
 // a uniform batch (same m, same n, n ≥ m), so reject ragged input here with
-// a clear 400 instead of burning the service's retry ladder on it.
+// a clear 400 before any work is queued.
 func (s *Server) parsePairs(in []PairJSON) ([]dna.Pair, int, string, error) {
 	if len(in) > s.cfg.MaxPairs {
 		return nil, http.StatusRequestEntityTooLarge, CodeTooLarge,

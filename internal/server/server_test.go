@@ -35,21 +35,36 @@ func newTestServer(t *testing.T, scfg alignsvc.Config, cfg Config) (*Server, *ht
 	return srv, ts
 }
 
-// slowServiceConfig makes every request spend ~120-240ms in retry backoffs:
-// both GPU tiers fail allocation, the breaker is disabled so they keep
-// failing, and the CPU rung finally serves the (tiny) batch. Latency is
-// sleep-dominated, so it stays stable under -race.
-func slowServiceConfig() alignsvc.Config {
-	cfg := alignsvc.Config{
-		Seed:            1,
-		Workers:         8,
-		MaxAttempts:     5,
-		BaseBackoff:     30 * time.Millisecond,
-		MaxBackoff:      30 * time.Millisecond,
-		BreakerFailures: -1,
+// slowBackend holds its worker slot for hold before scoring, and gives up
+// as soon as the request's context ends.
+type slowBackend struct {
+	alignsvc.Backend
+	hold time.Duration
+}
+
+func (b slowBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
+	t := time.NewTimer(b.hold)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return nil, alignsvc.BatchStats{}, ctx.Err()
+	case <-t.C:
 	}
-	cfg.Pipeline.GlobalBytes = 64
-	return cfg
+	return b.Backend.AlignBatch(ctx, pairs, opts)
+}
+
+// slowServiceConfig makes every request hold its worker slot for 150 ms
+// before the scalar reference scores its (tiny) batch in microseconds. The
+// hold is a timer, not CPU, so latency stays stable under -race and busy
+// slots do not starve the test's own clients.
+func slowServiceConfig() alignsvc.Config {
+	return alignsvc.Config{
+		Backend: alignsvc.BackendCPURef,
+		Workers: 8,
+		Wrap: func(be alignsvc.Backend) alignsvc.Backend {
+			return slowBackend{Backend: be, hold: 150 * time.Millisecond}
+		},
+	}
 }
 
 func testPairs(count, m, n int, seed uint64) ([]dna.Pair, []int) {
@@ -114,7 +129,7 @@ func decodeError(t *testing.T, raw []byte) ErrorResponse {
 }
 
 func TestAlignExactScores(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 2}, Config{})
+	_, ts := newTestServer(t, alignsvc.Config{}, Config{})
 	pairs, want := testPairs(48, 16, 32, 7)
 	status, raw := postAlign(t, ts.URL, AlignRequest{Pairs: pairsJSON(pairs)})
 	if status != http.StatusOK {
@@ -138,7 +153,7 @@ func TestAlignExactScores(t *testing.T) {
 }
 
 func TestAlignPreset(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 3}, Config{})
+	_, ts := newTestServer(t, alignsvc.Config{}, Config{})
 	status, raw := postAlign(t, ts.URL, AlignRequest{Preset: "unit"})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
@@ -153,7 +168,7 @@ func TestAlignPreset(t *testing.T) {
 }
 
 func TestAlignRejections(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 4},
+	_, ts := newTestServer(t, alignsvc.Config{},
 		Config{MaxPairs: 8, MaxSeqLen: 64, MaxBodyBytes: 2048})
 	long := strings.Repeat("A", 65)
 	cases := []struct {
@@ -275,7 +290,7 @@ func TestDeadlineReturns504(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	srv, ts := newTestServer(t, alignsvc.Config{Seed: 5}, Config{})
+	srv, ts := newTestServer(t, alignsvc.Config{}, Config{})
 	get := func(path string) (int, []byte) {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -311,9 +326,6 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 	if stats.Service.Batches != 1 {
 		t.Fatalf("service stats: %+v", stats.Service)
-	}
-	if len(stats.Service.Breakers) != 2 {
-		t.Fatalf("statsz should expose both GPU breakers: %+v", stats.Service.Breakers)
 	}
 
 	srv.BeginDrain()

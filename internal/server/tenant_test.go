@@ -83,7 +83,7 @@ func alignBody() AlignRequest {
 }
 
 func TestTenantResolution(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5}, Config{Tenants: testTenants(t)})
+	_, ts := newTestServer(t, alignsvc.Config{}, Config{Tenants: testTenants(t)})
 	body := alignBody()
 
 	cases := []struct {
@@ -120,7 +120,7 @@ func TestTenantResolution(t *testing.T) {
 // machine-readable reason, trace_id, and a Retry-After derived from the
 // bucket's own refill time rather than a fixed guess.
 func TestRateLimited429(t *testing.T) {
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5}, Config{Tenants: testTenants(t)})
+	_, ts := newTestServer(t, alignsvc.Config{}, Config{Tenants: testTenants(t)})
 	body := alignBody()
 
 	// burst: 2 tokens, 0.1/s refill. Two requests pass, the third needs
@@ -256,7 +256,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 // grows a per-tenant section and /metricsz carries tenant_* series.
 func TestStatszAndMetricszTenants(t *testing.T) {
 	reg := testTenants(t)
-	_, ts := newTestServer(t, alignsvc.Config{Seed: 5}, Config{Tenants: reg, Metrics: obs.NewRegistry()})
+	_, ts := newTestServer(t, alignsvc.Config{}, Config{Tenants: reg, Metrics: obs.NewRegistry()})
 	body := alignBody()
 	for i := 0; i < 3; i++ {
 		if status, raw, _ := postAlignAs(t, ts.URL, "sk-acme", "", body); status != http.StatusOK {
