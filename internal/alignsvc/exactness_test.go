@@ -15,7 +15,9 @@ import (
 // TestServiceExactnessEveryBackend runs every backend through
 // Service.AlignBackend, on an uncached and on a cached service, at shapes
 // from one cell up to past the simulated kernels' 1024-thread block limit,
-// and compares every score with swa.Score. Each batch repeats one pair.
+// and compares every score with swa.Score. Each batch repeats one pair
+// 33 times: one 32-lane group for the striped engine's byte-lane kernel
+// plus a leftover for its SSE2 kernel.
 //
 // The 127×127 and 128×128 pairs are self-alignments scoring 254 and 256
 // under PaperScoring, one on each side of the striped engine's 8-bit
@@ -31,7 +33,7 @@ func TestServiceExactnessEveryBackend(t *testing.T) {
 		{127, 127, true}, {128, 128, true},
 		{129, 300, false}, {1025, 1025, false},
 	}
-	const copies = 3
+	const copies = 33
 	for _, cached := range []bool{false, true} {
 		mode := "uncached"
 		if cached {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestTopKHeapMatchesSort(t *testing.T) {
 		n := rng.IntN(200)
 		k := 1 + rng.IntN(20)
 		all := make([]Hit, n)
-		heap := newTopK(k)
+		heap := newTopK(k, n)
 		for i := range all {
 			all[i] = Hit{ID: i, Score: rng.IntN(30)} // dense scores force ties
 			heap.push(all[i])
@@ -336,6 +337,63 @@ func TestChunkedMergeMatchesSearch(t *testing.T) {
 		}
 		if got := RankHits(union, p.TopK); !reflect.DeepEqual(got, full.Hits) {
 			t.Errorf("chunk size %d: merged %v, full %v", chunk, got, full.Hits)
+		}
+	}
+}
+
+// TestSearchCandidates pins the entry point the /search handler uses to
+// skip a second prefilter: fed Prefilter's output it is Search, hits and
+// stats alike; fed a hand-picked subset it scores that subset alone.
+func TestSearchCandidates(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	b, err := NewBuilder(t.TempDir(), IndexOptions{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := dna.RandSeq(rng, 48)
+	for i := 0; i < 2000; i++ {
+		y := dna.RandSeq(rng, 100)
+		if i%50 == 0 {
+			copy(y[rng.IntN(53):], q)
+		}
+		if err := b.Add(fmt.Sprintf("c-%04d", i), y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := b.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stripedSearcher(t, c, nil)
+	ctx := context.Background()
+	p := Params{TopK: 9}
+
+	want, err := s.Search(ctx, q, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.SearchCandidates(ctx, q, p, c.Prefilter(q, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SearchCandidates over Prefilter:\n  got  %+v\n  want %+v", got, want)
+	}
+
+	subset := Candidates{IDs: []int32{3, 50, 77, 1999}, Prefiltered: true, KmerCandidates: 4}
+	got, err = s.SearchCandidates(ctx, q, p, subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Candidates != 4 || got.Stats.Cells != 4*48*100 || len(got.Hits) != 4 {
+		t.Fatalf("subset search: %d hits, stats %+v", len(got.Hits), got.Stats)
+	}
+	for _, h := range got.Hits {
+		if !slices.Contains(subset.IDs, int32(h.ID)) {
+			t.Errorf("hit %d is outside the subset", h.ID)
+		}
+		if w := swa.Score(q, c.Seq(h.ID), swa.PaperScoring); h.Score != w {
+			t.Errorf("hit %d: score %d, want %d", h.ID, h.Score, w)
 		}
 	}
 }

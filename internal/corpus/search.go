@@ -140,8 +140,6 @@ type topK struct {
 	heap []Hit
 }
 
-func newTopK(k int) *topK { return &topK{k: k, heap: make([]Hit, 0, k)} }
-
 func (t *topK) push(h Hit) {
 	if len(t.heap) < t.k {
 		t.heap = append(t.heap, h)
@@ -177,6 +175,13 @@ func (t *topK) push(h Hit) {
 		t.heap[i], t.heap[worst] = t.heap[worst], t.heap[i]
 		i = worst
 	}
+}
+
+// newTopK returns a heap keeping the k best of at most pushes hits. Its
+// backing array holds min(k, pushes) hits, so a client-chosen k sizes
+// nothing beyond the candidates it ranks.
+func newTopK(k, pushes int) *topK {
+	return &topK{k: k, heap: make([]Hit, 0, min(k, pushes))}
 }
 
 // ranked drains the heap into best-first order.
@@ -259,7 +264,7 @@ var candidateBuckets = []float64{1, 5, 25, 100, 500, 2500, 1e4, 5e4, 2.5e5, 1e6}
 func (s *Searcher) score(ctx context.Context, q dna.Seq, cand []int32, lo, hi, k int, observe func(int)) ([]Hit, int64, error) {
 	from := sort.Search(len(cand), func(i int) bool { return int(cand[i]) >= lo })
 	to := sort.Search(len(cand), func(i int) bool { return int(cand[i]) >= hi })
-	heap := newTopK(k)
+	heap := newTopK(k, to-from)
 	var cells int64
 	for from < to {
 		n := min(scoreBatch, to-from)
@@ -301,11 +306,17 @@ type Result struct {
 // Search runs the full two-stage query path: prefilter, exact SW over
 // the survivors, ranked top-K with score statistics.
 func (s *Searcher) Search(ctx context.Context, q dna.Seq, p Params) (*Result, error) {
+	return s.SearchCandidates(ctx, q, p, s.c.Prefilter(q, p))
+}
+
+// SearchCandidates is Search over candidates the caller already holds,
+// for a caller that ran Prefilter(q, p) itself (the /search handler
+// charges the tenant for them first). It scores exactly cand.IDs.
+func (s *Searcher) SearchCandidates(ctx context.Context, q dna.Seq, p Params, cand Candidates) (*Result, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("corpus: empty query")
 	}
 	p = p.Resolved(len(q))
-	cand := s.c.Prefilter(q, p)
 	var scored []int
 	hits, cells, err := s.score(ctx, q, cand.IDs, 0, s.c.Len(), p.TopK,
 		func(sc int) { scored = append(scored, sc) })

@@ -187,7 +187,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// One request token, then the post-prefilter candidate cells. The
 	// prefilter is pure and cheap (posting-list walks + bitap), so running
 	// it before admission is safe; the expensive SW stage is what the
-	// admission slot and the cell bucket actually guard.
+	// admission slot and the cell bucket actually guard. The same
+	// candidates are then scored, so the prefilter runs once per request.
 	if ok, wait := t.AllowRequest(); !ok {
 		s.rejectRateLimited(w, r, t, wait, "request rate limit")
 		return
@@ -231,7 +232,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	res, err := h.Searcher.Search(ctx, q, p)
+	res, err := h.Searcher.SearchCandidates(ctx, q, p, cand)
 	if err != nil {
 		s.writeAlignError(w, r, err)
 		return

@@ -215,6 +215,48 @@ func TestSearchJobOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSearchHugeTopK sends a client-chosen top_k of 2^62 to both search
+// routes. The top-K heap is sized by the candidates it ranks, not by k,
+// so each route answers every candidate ranked instead of panicking on
+// the allocation (which killed the process from the job runner).
+func TestSearchHugeTopK(t *testing.T) {
+	corpora, q := newServerCorpus(t, 600)
+	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2},
+		Config{Corpora: corpora},
+		func(jc *jobs.Config) {
+			jc.Corpora = corpora
+			jc.SearchChunkSize = 128
+		})
+	const huge = 1 << 62
+
+	var sync SearchResponse
+	resp := doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Query: q.String(), TopK: huge}, &sync)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/search status %d", resp.StatusCode)
+	}
+	if sync.Stats.Candidates == 0 || len(sync.Hits) != sync.Stats.Candidates {
+		t.Fatalf("/search ranked %d hits of %d candidates", len(sync.Hits), sync.Stats.Candidates)
+	}
+
+	var snap jobs.Snapshot
+	resp = doJSON(t, http.MethodPost, ts.URL+"/jobs",
+		JobSubmitRequest{Kind: jobstore.KindSearch, Corpus: "ref", Query: q.String(), TopK: huge}, &snap)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d (%+v)", resp.StatusCode, snap)
+	}
+	if done := pollJobDone(t, ts.URL, snap.ID, 15*time.Second); done.State != jobstore.StateDone {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	var res SearchJobResultResponse
+	if resp = doJSON(t, http.MethodGet, ts.URL+"/jobs/"+snap.ID+"/result", nil, &res); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result status %d", resp.StatusCode)
+	}
+	if !reflect.DeepEqual(res.Hits, sync.Hits) {
+		t.Fatalf("job ranked %d hits, /search %d; want the same %d candidates",
+			len(res.Hits), len(sync.Hits), sync.Stats.Candidates)
+	}
+}
+
 // TestSearchTenantCellQuota proves /search charges the tenant cell
 // bucket with the post-prefilter candidate cells: a scan-all search
 // (prefilter disabled) blows a small bucket, while the default

@@ -8,6 +8,14 @@ import (
 	"repro/internal/swa"
 )
 
+func reversed(s dna.Seq) dna.Seq {
+	r := make(dna.Seq, len(s))
+	for i, b := range s {
+		r[len(s)-1-i] = b
+	}
+	return r
+}
+
 // FuzzStripedVsReference feeds arbitrary byte strings and scoring
 // parameters through every kernel path (assembly where available, the
 // portable 8-bit lanes, and the forced 16-bit lanes) and demands
@@ -39,7 +47,17 @@ func FuzzStripedVsReference(f *testing.F) {
 		}
 		x, y := toSeq(xb), toSeq(yb)
 		want := swa.Score(x, y, sc)
-		pairs := []dna.Pair{{X: x, Y: y}, {X: x, Y: y}} // two copies exercise asm pairing
+		// 33 lanes: one byte-lane group plus a leftover for the SSE2 kernel.
+		// Odd lanes hold both sequences reversed, which scores the same, so
+		// a lane mix-up in the byte-lane transpose cannot pass.
+		rx, ry := reversed(x), reversed(y)
+		pairs := make([]dna.Pair, laneWidth+1)
+		for l := range pairs {
+			pairs[l] = dna.Pair{X: x, Y: y}
+			if l%2 == 1 {
+				pairs[l] = dna.Pair{X: rx, Y: ry}
+			}
+		}
 		for name, e := range es {
 			got, _, err := e.ScoreBatch(context.Background(), pairs, sc)
 			if err != nil {

@@ -59,6 +59,12 @@ type scratch struct {
 	prof2 []byte // two problems × four bases × segLen×16 bytes
 	vh    []byte // two H rows, segLen×16 bytes each
 	yb2   []byte // second text copy
+
+	// byte-lane-kernel state (amd64 with AVX2)
+	lanes []byte // constants + best/ovf rows, laneArena bytes
+	xt    []byte // lane-interleaved patterns, m×32 bytes
+	yt    []byte // lane-interleaved texts, n×32 bytes
+	hcol  []byte // H column, m×32 bytes
 }
 
 func growU64(s []uint64, n int) []uint64 {

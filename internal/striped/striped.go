@@ -1,8 +1,24 @@
-// Package striped is the native CPU serving engine: a Farrar-style striped
-// Smith–Waterman scorer with a precomputed query profile, saturating
-// bit-parallel inner loops and automatic widening on overflow. It exists so
-// the alignment service can serve real traffic at wall-clock GCUPS while the
+// Package striped is the native CPU serving engine. Groups of 32 pairs of
+// one shape are scored in the byte lanes of an AVX2 register, the source
+// paper's bitwise parallel bulk layout at byte granularity; every other
+// pair goes to a Farrar-style striped Smith–Waterman scorer with a
+// precomputed query profile. Both use saturating 8-bit arithmetic and
+// widen automatically on overflow. The engine exists so the alignment
+// service can serve real traffic at wall-clock GCUPS while the
 // cudasim/bpbc stack stays the paper-faithful research path.
+//
+// # Byte lanes
+//
+// The byte-lane kernel (amd64 with AVX2) puts pair l in byte lane l of
+// every YMM register. Lanes never interact, so a cell is a handful of
+// saturating byte ops: compare the two bases, add match+mismatch to the
+// diagonal where they agree, subtract the mismatch, take the max with
+// max(left, up) − gap, and track the best. There is no lane wrap and no
+// query profile. Before the kernel runs, the patterns and texts are
+// transposed into lane-interleaved rows (the paper's W2B stage, at byte
+// width). scoreBatch sends each run of 32 consecutive pairs sharing one
+// non-empty (len X, len Y) to it; shorter runs and leftovers go to the
+// striped kernels.
 //
 // # Striped layout and the lazy-F loop
 //
@@ -19,9 +35,7 @@
 // the settled F — skipped entirely when the wrapped F is already zero,
 // which is the common case.
 //
-// # Kernels and the widening ladder
-//
-// Three kernels share that design:
+// The striped kernels are:
 //
 //   - an SSE2 assembly kernel (amd64) with 16 full-range 8-bit lanes per
 //     XMM register, scoring two independent pairs per call to hide latency;
@@ -30,14 +44,18 @@
 //   - a portable 16-bit kernel packing V=4 lanes into a uint64
 //     (values ≤ 0x7fff).
 //
-// Every kernel tracks a sticky overflow accumulator instead of clamping:
-// when any lane may have saturated, the whole pair is re-scored by the next
-// wider kernel, and past 16 bits by the scalar swa.Score reference. Scores
-// are therefore exact by construction on every path; the engine never
-// returns a clamped value.
+// # The widening ladder
 //
-// Scratch buffers (profile, H/G rows, text copies) are pooled, so scoring a
-// warm batch allocates nothing (see the CI allocation gate).
+// Every kernel tracks a sticky overflow accumulator instead of clamping:
+// when any lane may have saturated, the pair is re-scored by the next
+// wider kernel, and past 16 bits by the scalar swa.Score reference. The
+// byte-lane kernel flags each lane on its own, so only the flagged pairs
+// of a group widen. Scores are therefore exact by construction on every
+// path; the engine never returns a clamped value.
+//
+// Scratch buffers (profiles, H/G rows and columns, text copies and
+// transposes) are pooled, so scoring a warm batch allocates nothing (see
+// the CI allocation gate).
 package striped
 
 import (
@@ -66,8 +84,11 @@ type Config struct {
 type Stats struct {
 	// Pairs is how many pairs the engine scored (on any path).
 	Pairs int64 `json:"pairs"`
-	// KernelCalls counts striped kernel invocations (assembly or portable).
+	// KernelCalls counts pairs served by a kernel pass (byte-lane, SSE2 or
+	// portable), wide re-passes included.
 	KernelCalls int64 `json:"kernel_calls"`
+	// LanePairs counts pairs scored in a lane of the byte-lane kernel.
+	LanePairs int64 `json:"lane_pairs"`
 	// Overflows counts pairs whose narrow pass may have saturated and was
 	// discarded.
 	Overflows int64 `json:"overflows"`
@@ -82,6 +103,7 @@ type Stats struct {
 // BatchInfo reports what one ScoreBatch call did.
 type BatchInfo struct {
 	KernelPairs     int // pairs served by a striped kernel
+	LanePairs       int // pairs served by the byte-lane kernel
 	Overflows       int // narrow passes discarded for possible saturation
 	WideRepasses    int // pairs re-scored at 16 bits
 	ScalarFallbacks int // pairs served by the scalar reference
@@ -93,8 +115,8 @@ type Engine struct {
 	cfg  Config
 	pool sync.Pool
 
-	pairs, kernelCalls, overflows atomic.Int64
-	wideRepasses, scalarFallbacks atomic.Int64
+	pairs, kernelCalls, lanePairs            atomic.Int64
+	overflows, wideRepasses, scalarFallbacks atomic.Int64
 }
 
 // New returns an engine with the given configuration.
@@ -109,6 +131,7 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Pairs:           e.pairs.Load(),
 		KernelCalls:     e.kernelCalls.Load(),
+		LanePairs:       e.lanePairs.Load(),
 		Overflows:       e.overflows.Load(),
 		WideRepasses:    e.wideRepasses.Load(),
 		ScalarFallbacks: e.scalarFallbacks.Load(),
@@ -146,6 +169,7 @@ func (e *Engine) ScoreBatchInto(ctx context.Context, dst []int, pairs []dna.Pair
 	err := e.scoreBatch(ctx, sr, dst, pairs, sc, &info)
 	e.pairs.Add(int64(len(pairs)))
 	e.kernelCalls.Add(int64(info.KernelPairs))
+	e.lanePairs.Add(int64(info.LanePairs))
 	e.overflows.Add(int64(info.Overflows))
 	e.wideRepasses.Add(int64(info.WideRepasses))
 	e.scalarFallbacks.Add(int64(info.ScalarFallbacks))
@@ -159,12 +183,36 @@ func fitsNarrow(sc swa.Scoring, lim int) bool {
 	return sc.Match+sc.Mismatch <= lim && sc.Gap <= lim
 }
 
-// scoreBatch walks the batch, grouping adjacent equal-n pairs for the
-// two-problem assembly kernel and widening per pair on overflow.
+// scoreBatch walks the batch. Each run of laneWidth consecutive pairs
+// that share one non-empty shape goes to the byte-lane kernel when the
+// host has it; each stretch of pairs between such runs goes to scoreEach
+// whole, so its adjacent equal-n pairs still share SSE2 calls.
 func (e *Engine) scoreBatch(ctx context.Context, sr *scratch, dst []int, pairs []dna.Pair, sc swa.Scoring, info *BatchInfo) error {
 	useAsm := haveAsm && !e.cfg.ForcePortable && !e.cfg.ForceWide && fitsNarrow(sc, asmCap)
-	useU8 := !e.cfg.ForceWide && fitsNarrow(sc, cap8)
 	useU16 := fitsNarrow(sc, cap16/2)
+	for i := 0; i < len(pairs); {
+		g := len(pairs)
+		if useAsm && haveLanes {
+			g = nextLaneGroup(pairs, i)
+		}
+		if err := e.scoreEach(ctx, sr, dst[i:g], pairs[i:g], sc, useAsm, useU16, info); err != nil {
+			return err
+		}
+		if g == len(pairs) {
+			break
+		}
+		if err := e.scoreLanes(ctx, sr, dst[g:g+laneWidth], pairs[g:g+laneWidth], sc, useU16, info); err != nil {
+			return err
+		}
+		i = g + laneWidth
+	}
+	return nil
+}
+
+// scoreEach scores pairs one at a time, grouping adjacent equal-n pairs
+// for the two-problem assembly kernel and widening per pair on overflow.
+func (e *Engine) scoreEach(ctx context.Context, sr *scratch, dst []int, pairs []dna.Pair, sc swa.Scoring, useAsm, useU16 bool, info *BatchInfo) error {
+	useU8 := !e.cfg.ForceWide && fitsNarrow(sc, cap8)
 	for i := 0; i < len(pairs); i++ {
 		if err := ctx.Err(); err != nil {
 			return err

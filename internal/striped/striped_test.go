@@ -69,6 +69,64 @@ func TestStripedMatchesReference(t *testing.T) {
 	if st := es["auto"].Stats(); st.Overflows == 0 || st.WideRepasses == 0 {
 		t.Fatalf("sweep never overflowed the narrow kernel: %+v", st)
 	}
+
+	// Byte-lane sweep: runs of 32–100 pairs of one shape, with one shared
+	// pattern or a pattern per pair, sometimes broken by one odd shape and
+	// sometimes carrying identical pairs whose scores overflow 8 bits.
+	laneWide := 0
+	for trial := 0; trial < 80; trial++ {
+		m := 1 + rng.IntN(150)
+		n := 1 + rng.IntN(300)
+		if trial%3 == 0 {
+			n = m // room for identical pairs
+		}
+		count := 32 + rng.IntN(69)
+		broken := trial%4 == 1
+		if trial%4 == 0 {
+			count = 32 * (1 + rng.IntN(3)) // whole groups only
+		}
+		shared := randSeq(rng, m)
+		pairs := make([]dna.Pair, count)
+		for k := range pairs {
+			x := shared
+			if trial%2 == 1 {
+				x = randSeq(rng, m)
+			}
+			y := randSeq(rng, n)
+			if n == m && rng.IntN(8) == 0 {
+				y = append(dna.Seq{}, x...)
+			}
+			pairs[k] = dna.Pair{X: x, Y: y}
+		}
+		if broken {
+			odd := rng.IntN(count)
+			pairs[odd].Y = randSeq(rng, n+1)
+		}
+		sc := swa.Scoring{Match: 1 + rng.IntN(4), Mismatch: rng.IntN(3), Gap: rng.IntN(3)}
+		for name, e := range es {
+			got, info, err := e.ScoreBatch(context.Background(), pairs, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, p := range pairs {
+				if want := swa.Score(p.X, p.Y, sc); got[i] != want {
+					t.Fatalf("%s lane trial %d pair %d (m=%d n=%d sc=%+v): got %d want %d",
+						name, trial, i, len(p.X), len(p.Y), sc, got[i], want)
+				}
+			}
+			if info.LanePairs == len(pairs) {
+				laneWide += info.WideRepasses
+			}
+		}
+	}
+	if haveLanes {
+		if st := es["auto"].Stats(); st.LanePairs == 0 {
+			t.Fatalf("AVX2 host but the byte-lane kernel never ran: %+v", st)
+		}
+		if laneWide == 0 {
+			t.Fatal("no flagged byte lane was ever re-scored at 16 bits")
+		}
+	}
 }
 
 // TestOverflowBoundaries pins the widening ladder's trigger points using
@@ -122,6 +180,44 @@ func TestOverflowBoundaries(t *testing.T) {
 			}
 		})
 	}
+
+	// Byte-lane kernel: the flag is per lane, so in one 32-pair group a
+	// poly-A lane scoring 200 stays narrow while one scoring 260 widens,
+	// alone.
+	t.Run("lanes-one-of-32-widens", func(t *testing.T) {
+		if !haveLanes {
+			t.Skip("no AVX2 on this host")
+		}
+		const l = 130
+		rng := rand.New(rand.NewPCG(3, 3))
+		sc := swa.Scoring{Match: 2, Mismatch: 1, Gap: 1}
+		pairs := make([]dna.Pair, laneWidth)
+		for k := range pairs {
+			pairs[k] = dna.Pair{X: randSeq(rng, l), Y: randSeq(rng, l)}
+		}
+		polyA := make(dna.Seq, l)
+		fits := make(dna.Seq, 100, l)
+		for len(fits) < l {
+			fits = append(fits, dna.C) // 100 A then C: scores 200
+		}
+		pairs[3] = dna.Pair{X: polyA, Y: fits}
+		pairs[17] = dna.Pair{X: polyA, Y: polyA} // scores 260
+		got, info, err := New(Config{}).ScoreBatch(context.Background(), pairs, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pairs {
+			if want := swa.Score(p.X, p.Y, sc); got[i] != want {
+				t.Fatalf("pair %d: got %d want %d", i, got[i], want)
+			}
+		}
+		if got[3] != 200 || got[17] != 260 {
+			t.Fatalf("poly-A lanes scored %d and %d, want 200 and 260", got[3], got[17])
+		}
+		if info.LanePairs != laneWidth || info.Overflows != 1 || info.WideRepasses != 1 || info.ScalarFallbacks != 0 {
+			t.Fatalf("want one group with exactly one widened lane, got %+v", info)
+		}
+	})
 }
 
 // TestScoringTooLargeForLanes verifies that scoring parameters beyond every
@@ -169,6 +265,15 @@ func TestEdgeShapes(t *testing.T) {
 			{X: dna.Seq{}, Y: dna.Seq{}},
 			{X: randSeq(rng, 20), Y: randSeq(rng, 30)},
 		},
+	}
+	// Byte-lane groups at the kernel's row-loop edges (one row, an even
+	// count, an odd tail) and of empty pairs, which stay off the kernel.
+	for _, shape := range [][2]int{{1, 1}, {1, 7}, {2, 1}, {3, 9}, {0, 5}, {4, 0}} {
+		group := make([]dna.Pair, laneWidth)
+		for k := range group {
+			group[k] = dna.Pair{X: randSeq(rng, shape[0]), Y: randSeq(rng, shape[1])}
+		}
+		batches = append(batches, group)
 	}
 	for name, e := range engines() {
 		for bi, pairs := range batches {
@@ -239,6 +344,26 @@ func TestContextCancelAborts(t *testing.T) {
 			t.Fatalf("%s: mid-pair cancel: err = %v", name, err)
 		}
 	}
+
+	// A byte-lane group of 32 pairs of 1024×1024, 8 column chunks: it must
+	// honour a cancelled context before its first chunk and between chunks.
+	group := make([]dna.Pair, laneWidth)
+	for k := range group {
+		group[k] = dna.Pair{X: randSeq(rng, 1024), Y: randSeq(rng, 1024)}
+	}
+	for name, e := range engines() {
+		if _, _, err := e.ScoreBatch(ctx, group, swa.Scoring{Match: 2, Mismatch: 1, Gap: 1}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled lane group: err = %v", name, err)
+		}
+		cctx := &countdownCtx{Context: context.Background(), left: 3}
+		info, err := e.ScoreBatchInto(cctx, make([]int, laneWidth), group, swa.Scoring{Match: 2, Mismatch: 1, Gap: 1})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: mid-group cancel: err = %v", name, err)
+		}
+		if name == "auto" && haveLanes && info.LanePairs != 0 {
+			t.Fatalf("cancelled lane group reported as served: %+v", info)
+		}
+	}
 }
 
 // TestStatsAccumulate checks the engine-level counters sum across batches.
@@ -270,23 +395,29 @@ func TestStatsAccumulate(t *testing.T) {
 // deterministic (sync.Pool can legitimately miss under GC pressure).
 func TestZeroSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
-	pairs := []dna.Pair{
+	small := []dna.Pair{
 		{X: randSeq(rng, 64), Y: randSeq(rng, 96)},
 		{X: randSeq(rng, 64), Y: randSeq(rng, 96)},
 	}
+	lanes := make([]dna.Pair, 2*laneWidth) // two byte-lane groups on AVX2
+	for k := range lanes {
+		lanes[k] = dna.Pair{X: randSeq(rng, 64), Y: randSeq(rng, 96)}
+	}
 	sc := swa.Scoring{Match: 2, Mismatch: 1, Gap: 1}
-	dst := make([]int, len(pairs))
-	for name, e := range engines() {
-		sr := &scratch{}
-		var info BatchInfo
-		warm := func() {
-			if err := e.scoreBatch(context.Background(), sr, dst, pairs, sc, &info); err != nil {
-				t.Fatal(err)
+	for _, pairs := range [][]dna.Pair{small, lanes} {
+		dst := make([]int, len(pairs))
+		for name, e := range engines() {
+			sr := &scratch{}
+			var info BatchInfo
+			warm := func() {
+				if err := e.scoreBatch(context.Background(), sr, dst, pairs, sc, &info); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		warm()
-		if n := testing.AllocsPerRun(100, warm); n != 0 {
-			t.Fatalf("%s: %v allocs per warm batch, want 0", name, n)
+			warm()
+			if n := testing.AllocsPerRun(100, warm); n != 0 {
+				t.Fatalf("%s, %d pairs: %v allocs per warm batch, want 0", name, len(pairs), n)
+			}
 		}
 	}
 }
