@@ -50,7 +50,7 @@
 //	          [-queued N] [-tenants tenants.json]
 //	          [-grace 15s] [-timeout 30s] [-lanes 32]
 //	          [-node-id n1 -peers n2=http://h2:8468,n3=http://h3:8468]
-//	          [-peer-timeout 5s -peer-hedge-after 0 -peer-probe-interval 1s]
+//	          [-peer-timeout 5s -peer-probe-interval 1s]
 //	          [-data-dir /var/lib/swa -wal-sync always -chunk-size 64]
 //	          [-corpus ref=/var/lib/swa/corpus -search-backend striped]
 //	          [-search-chunk-size 4096]
@@ -58,11 +58,12 @@
 //
 // -peers turns N swaserver processes into one coordinator-free logical
 // service: a consistent-hash ring over the score-cache content address
-// routes each pair to its owner node for cache locality, with circuit
-// breakers, health probing (dead peers leave the ring, readmitted ones
-// rejoin) and unconditional fallback to local execution. On drain the node
-// hands its hot key arcs to the surviving owners. /statsz gains a cluster
-// section and /metricsz cluster_* gauges.
+// routes each pair to its owner node for cache locality. A forward is one
+// attempt bounded by -peer-timeout; if it fails the pairs are scored
+// locally. Health probing takes dead peers out of the ring and readmits
+// them when they answer again. On drain the node hands its hot key arcs to
+// the surviving owners. /statsz gains a cluster section and /metricsz
+// cluster_* gauges.
 package main
 
 import (
@@ -104,8 +105,7 @@ func main() {
 
 	nodeID := flag.String("node-id", "", "this node's stable cluster identity (required with -peers)")
 	peers := flag.String("peers", "", "static cluster peers as id=url,id=url (empty = single node, no cluster)")
-	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "per-attempt deadline for forwards and health probes")
-	peerHedgeAfter := flag.Duration("peer-hedge-after", 0, "race local execution against a forward still running after this long (0 disables)")
+	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "deadline for one forward or health probe")
 	peerProbeInterval := flag.Duration("peer-probe-interval", time.Second, "peer health-probe cadence and quarantine cooldown")
 
 	inflight := flag.Int("inflight", 0, "max align requests executing concurrently (0 = 2×GOMAXPROCS)")
@@ -282,7 +282,6 @@ func main() {
 			Scoring:       svc.Scoring(),
 			Lanes:         svc.Lanes(),
 			PeerTimeout:   *peerTimeout,
-			HedgeAfter:    *peerHedgeAfter,
 			ProbeInterval: *peerProbeInterval,
 			Metrics:       obs.Default(),
 		})

@@ -8,17 +8,17 @@
 // Batches with mixed ownership are split per owner and merged, mirroring the
 // cached/uncached split inside alignsvc.
 //
-// Forwarding is strictly best-effort: every node can serve every request
-// locally, so a peer failure is a performance event, never a correctness
-// event. The forward path carries per-peer circuit breakers, deadline
-// propagation, Retry-After-honouring 429 handling (an alive-but-shedding
-// peer is not a failing peer), bounded retry with jitter, and an optional
-// hedge that races local execution against a slow forward. Every failure
-// mode degrades to local execution.
+// A forward buys cache locality and nothing else: every node computes the
+// same exact scores. So a forward is one attempt, bounded by PeerTimeout and
+// the caller's deadline, and on any failure the owner group is scored
+// locally, once. A peer failure is a performance event, never a correctness
+// event.
 //
-// Peer health is probed (healthy → suspect → quarantined → probing) and
-// feeds ring membership: keys re-home when a node dies and re-home back
-// when it is readmitted. A draining node removes itself from its own ring
+// Peer health is probed (healthy → quarantined → probing) and feeds ring
+// membership: keys re-home when a node dies and re-home back when it is
+// readmitted. Failed probes and failed forwards both count towards
+// quarantine; a 429 (the peer is alive and shedding) and the end of the
+// caller's context do not. A draining node removes itself from its own ring
 // and hands the hot part of its key space to the new owners (POST
 // /cluster/warm), so a rolling restart does not cold-start the cache.
 //
@@ -34,10 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,17 +55,15 @@ import (
 const ForwardHeader = "X-SWA-Forwarded"
 
 const (
-	defaultReplicas     = 64
-	defaultPeerTimeout  = 5 * time.Second
-	defaultMaxRetries   = 1
-	defaultRetryBackoff = 25 * time.Millisecond
-	defaultSuspect      = 1
-	defaultQuarantine   = 3
-	defaultProbeEvery   = time.Second
-	defaultBrFailures   = 5
-	defaultBrCooldown   = 500 * time.Millisecond
-	defaultHotSet       = 4096
-	defaultWarmBatch    = 256
+	// replicas is the number of virtual ring points per member.
+	replicas = 64
+	// hotSetSize bounds the recently-served key set kept for drain handoff.
+	hotSetSize = 4096
+
+	defaultPeerTimeout = 5 * time.Second
+	defaultQuarantine  = 3
+	defaultProbeEvery  = time.Second
+	defaultWarmBatch   = 256
 
 	// maxPeerRespBytes bounds how much of a peer response we will buffer;
 	// a misbehaving peer must not be able to balloon our memory.
@@ -125,37 +121,16 @@ type Config struct {
 	Scoring swa.Scoring
 	Lanes   int
 
-	// Replicas is the number of virtual ring points per member (default 64).
-	Replicas int
-	// PeerTimeout bounds one forward attempt (default 5s).
+	// PeerTimeout bounds one forward and one health probe (default 5s).
 	PeerTimeout time.Duration
-	// HedgeAfter, when >0, starts local execution if a forward has not
-	// answered within this duration; the first success wins.
-	HedgeAfter time.Duration
-	// MaxRetries is how many times one forward is re-attempted after the
-	// first failure (default 1). Every exhaustion falls back to local.
-	MaxRetries int
-	// RetryBackoff is the base backoff between forward retries, jittered
-	// up to 2x (default 25ms). Also the fallback wait for a 429 whose
-	// Retry-After is absent.
-	RetryBackoff time.Duration
 
-	// SuspectAfter / QuarantineAfter are the consecutive-failure thresholds
-	// of the health machine (defaults 1 and 3).
-	SuspectAfter    int
+	// QuarantineAfter is how many consecutive failures take a peer out of
+	// the ring (default 3).
 	QuarantineAfter int
 	// ProbeInterval is how long a quarantined peer waits before a readmission
 	// probe, and the cadence of background health probes (default 1s).
 	ProbeInterval time.Duration
 
-	// BreakerFailures / BreakerCooldown configure the per-peer circuit
-	// breaker (defaults 5 and 500ms).
-	BreakerFailures int
-	BreakerCooldown time.Duration
-
-	// HotSetSize bounds the recently-served key set kept for drain handoff
-	// (default 4096 entries).
-	HotSetSize int
 	// WarmBatch bounds how many entries one /cluster/warm POST carries
 	// (default 256).
 	WarmBatch int
@@ -168,37 +143,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = defaultReplicas
-	}
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = defaultPeerTimeout
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = defaultMaxRetries
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = defaultRetryBackoff
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = defaultSuspect
 	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = defaultQuarantine
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = defaultProbeEvery
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = defaultBrFailures
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = defaultBrCooldown
-	}
-	if c.HotSetSize <= 0 {
-		c.HotSetSize = defaultHotSet
 	}
 	if c.WarmBatch <= 0 {
 		c.WarmBatch = defaultWarmBatch
@@ -212,17 +164,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is one peer's health state: a failure streak makes a peer suspect
-// and then quarantined, and after the probe cooldown a successful probe
-// readmits it.
+// State is one peer's health state: a failure streak quarantines a peer,
+// and after the probe cooldown a successful probe readmits it.
 type State int
 
 const (
 	// Healthy peers are ring members and receive forwards.
 	Healthy State = iota
-	// Suspect peers are still ring members but one failure streak away
-	// from quarantine.
-	Suspect
 	// Quarantined peers are out of the ring — their keys have re-homed —
 	// until the probe cooldown elapses.
 	Quarantined
@@ -231,7 +179,7 @@ const (
 	Probing
 )
 
-var stateNames = [...]string{"healthy", "suspect", "quarantined", "probing"}
+var stateNames = [...]string{"healthy", "quarantined", "probing"}
 
 func (s State) String() string {
 	if s < 0 || int(s) >= len(stateNames) {
@@ -257,7 +205,6 @@ func (s *State) UnmarshalText(b []byte) error {
 // peer is one remote member plus everything we know about it.
 type peer struct {
 	id, url string
-	br      *breaker
 
 	// health fields are guarded by the Cluster's mu (membership changes
 	// must atomically rebuild the ring).
@@ -286,9 +233,9 @@ type Cluster struct {
 	cfg  Config
 	self string
 
-	mu          sync.Mutex // peers' health + ring rebuilds
-	peers       map[string]*peer
-	order       []*peer // deterministic iteration for stats
+	mu          sync.Mutex       // peers' health + ring rebuilds
+	peers       map[string]*peer // fixed after New, so read without mu
+	order       []*peer          // deterministic iteration for stats
 	ring        atomic.Pointer[ring]
 	ringVersion int64
 	rehomes     int64
@@ -303,10 +250,6 @@ type Cluster struct {
 	localPairs      atomic.Int64
 	forwardedPairs  atomic.Int64
 	fallbackPairs   atomic.Int64
-	shortCircuits   atomic.Int64
-	hedges          atomic.Int64
-	hedgeLocalWins  atomic.Int64
-	retry429Waits   atomic.Int64
 	forwardedServed atomic.Int64
 	loopRejects     atomic.Int64
 	handoffEntries  atomic.Int64
@@ -317,8 +260,6 @@ type Cluster struct {
 	mRingVer  *obs.Gauge
 	mRehomes  *obs.Counter
 	mFallback *obs.Counter
-	mShortC   *obs.Counter
-	mHedges   *obs.Counter
 	mPeerHits *obs.Counter
 	mServed   *obs.Counter
 	mLoops    *obs.Counter
@@ -340,7 +281,7 @@ func New(cfg Config) (*Cluster, error) {
 		self:   cfg.NodeID,
 		peers:  make(map[string]*peer, len(cfg.Peers)),
 		closed: make(chan struct{}),
-		hot:    newHotset(cfg.HotSetSize),
+		hot:    newHotset(hotSetSize),
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == cfg.NodeID {
@@ -352,7 +293,7 @@ func New(cfg Config) (*Cluster, error) {
 		if _, dup := c.peers[p.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate peer id %q", p.ID)
 		}
-		pr := &peer{id: p.ID, url: p.URL, br: newPeerBreaker(cfg.BreakerFailures, cfg.BreakerCooldown)}
+		pr := &peer{id: p.ID, url: p.URL}
 		c.peers[p.ID] = pr
 		c.order = append(c.order, pr)
 	}
@@ -376,10 +317,8 @@ func (c *Cluster) initMetrics() {
 	m.Help("cluster_ring_members", "Nodes currently in the consistent-hash ring (including self unless draining).")
 	m.Help("cluster_ring_version", "Monotonic ring rebuild counter; each bump re-homes some key arcs.")
 	m.Help("cluster_rehomes_total", "Ring rebuilds caused by membership changes (quarantine, readmission, drain).")
-	m.Help("cluster_peer_state", "Peer health state (0 healthy, 1 suspect, 2 quarantined, 3 probing).")
+	m.Help("cluster_peer_state", "Peer health state (0 healthy, 1 quarantined, 2 probing).")
 	m.Help("cluster_fallbacks_total", "Owner groups served locally after a failed forward.")
-	m.Help("cluster_short_circuits_total", "Forwards skipped by an open peer breaker.")
-	m.Help("cluster_hedges_total", "Local executions raced against a slow forward.")
 	m.Help("cluster_peer_cache_hits_total", "Cache hits reported by peers for forwarded pairs.")
 	m.Help("cluster_forwarded_served_total", "Forwarded requests this node served for a peer.")
 	m.Help("cluster_loop_rejects_total", "Forwarded requests rejected by the hop guard.")
@@ -389,8 +328,6 @@ func (c *Cluster) initMetrics() {
 	c.mRingVer = m.Gauge("cluster_ring_version")
 	c.mRehomes = m.Counter("cluster_rehomes_total")
 	c.mFallback = m.Counter("cluster_fallbacks_total")
-	c.mShortC = m.Counter("cluster_short_circuits_total")
-	c.mHedges = m.Counter("cluster_hedges_total")
 	c.mPeerHits = m.Counter("cluster_peer_cache_hits_total")
 	c.mServed = m.Counter("cluster_forwarded_served_total")
 	c.mLoops = m.Counter("cluster_loop_rejects_total")
@@ -435,11 +372,11 @@ func (c *Cluster) rebuildRingLocked() {
 		members = append(members, c.self)
 	}
 	for _, p := range c.order {
-		if p.state == Healthy || p.state == Suspect {
+		if p.state == Healthy {
 			members = append(members, p.id)
 		}
 	}
-	c.ring.Store(buildRing(members, c.cfg.Replicas))
+	c.ring.Store(buildRing(members))
 	c.ringVersion++
 	if c.mRing != nil {
 		c.mRing.Set(float64(len(members)))
@@ -465,11 +402,7 @@ func (c *Cluster) noteSuccess(p *peer) {
 	defer c.mu.Unlock()
 	p.consec = 0
 	p.lastErr = ""
-	switch p.state {
-	case Healthy:
-	case Suspect:
-		c.setStateLocked(p, Healthy)
-	case Quarantined, Probing:
+	if p.state != Healthy {
 		c.setStateLocked(p, Healthy)
 		p.readmissions++
 		if p.mRead != nil {
@@ -493,7 +426,7 @@ func (c *Cluster) noteFailure(p *peer, err error) {
 		p.lastErr = err.Error()
 	}
 	switch {
-	case p.consec >= c.cfg.QuarantineAfter && p.state != Quarantined && p.state != Probing:
+	case p.state == Healthy && p.consec >= c.cfg.QuarantineAfter:
 		c.setStateLocked(p, Quarantined)
 		p.quarantinedAt = time.Now()
 		p.quarantines++
@@ -505,8 +438,6 @@ func (c *Cluster) noteFailure(p *peer, err error) {
 			c.mRehomes.Inc()
 		}
 		c.rebuildRingLocked()
-	case p.consec >= c.cfg.SuspectAfter && p.state == Healthy:
-		c.setStateLocked(p, Suspect)
 	case p.state == Probing:
 		// Failed readmission probe: back to quarantine, restart cooldown.
 		c.setStateLocked(p, Quarantined)
@@ -621,20 +552,10 @@ func mergeReport(dst *alignsvc.Report, src *alignsvc.Report) {
 	dst.CacheCoalesced += src.CacheCoalesced
 }
 
-// alignVia forwards one owner group to its peer, degrading to local
-// execution on every failure mode: unknown peer (stale config), open
-// breaker, transport errors, shedding beyond budget, malformed responses.
+// alignVia forwards one owner group to its peer and scores the group
+// locally, once, if the forward fails for any reason but the end of ctx.
 func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) ([]int, *alignsvc.Report, error) {
-	c.mu.Lock()
-	p := c.peers[owner]
-	c.mu.Unlock()
-	if p == nil {
-		return c.localFallback(ctx, sub)
-	}
-	if c.cfg.HedgeAfter > 0 {
-		return c.alignHedged(ctx, p, sub)
-	}
-	scores, err := c.forward(ctx, p, sub)
+	scores, err := c.forward(ctx, c.peers[owner], sub)
 	if err == nil {
 		c.forwardedPairs.Add(int64(len(sub)))
 		return scores, nil, nil
@@ -642,12 +563,8 @@ func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) ([
 	if ctx.Err() != nil {
 		return nil, nil, ctx.Err()
 	}
-	return c.localFallback(ctx, sub)
-}
-
-// localFallback serves a peer-owned group on this node. The pairs are not
-// recorded in the hotset: they belong to another node's arc.
-func (c *Cluster) localFallback(ctx context.Context, sub []dna.Pair) ([]int, *alignsvc.Report, error) {
+	// The pairs are not recorded in the hotset: they belong to another
+	// node's arc.
 	c.fallbackPairs.Add(int64(len(sub)))
 	if c.mFallback != nil {
 		c.mFallback.Inc()
@@ -659,153 +576,36 @@ func (c *Cluster) localFallback(ctx context.Context, sub []dna.Pair) ([]int, *al
 	return res.Scores, &res.Report, nil
 }
 
-// alignHedged races the forward against local execution started HedgeAfter
-// later; the first success wins and the loser is cancelled.
-func (c *Cluster) alignHedged(ctx context.Context, p *peer, sub []dna.Pair) ([]int, *alignsvc.Report, error) {
-	fctx, cancelF := context.WithCancel(ctx)
-	defer cancelF()
-	type out struct {
-		scores []int
-		rep    *alignsvc.Report
-		err    error
-	}
-	fch := make(chan out, 1)
-	go func() {
-		s, err := c.forward(fctx, p, sub)
-		fch <- out{scores: s, err: err}
-	}()
+// errShedding marks a forward the peer refused with 429: the peer is alive
+// and shedding load, which is not a health failure.
+var errShedding = errors.New("shedding (429)")
 
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	var lch chan out
-	startLocal := func() {
-		lch = make(chan out, 1)
-		go func() {
-			res, err := c.cfg.Local.Align(ctx, sub)
-			if err != nil {
-				lch <- out{err: err}
-				return
-			}
-			lch <- out{scores: res.Scores, rep: &res.Report}
-		}()
-	}
-
-	var ferr, lerr error
-	fwd := fch
-	for fwd != nil || lch != nil {
-		select {
-		case <-timer.C:
-			if lch == nil && fwd != nil {
-				c.hedges.Add(1)
-				if c.mHedges != nil {
-					c.mHedges.Inc()
-				}
-				startLocal()
-			}
-		case o := <-fwd:
-			fwd = nil
-			if o.err == nil {
-				c.forwardedPairs.Add(int64(len(sub)))
-				return o.scores, nil, nil
-			}
-			ferr = o.err
-			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			if lch == nil {
-				// Forward failed before the hedge fired: this is a plain
-				// fallback, not a hedge.
-				return c.localFallback(ctx, sub)
-			}
-		case o := <-lch:
-			lch = nil
-			if o.err == nil {
-				c.hedgeLocalWins.Add(1)
-				cancelF()
-				return o.scores, o.rep, nil
-			}
-			lerr = o.err
-		}
-	}
-	if lerr != nil {
-		return nil, nil, lerr
-	}
-	return nil, nil, ferr
-}
-
-// errShortCircuit reports a forward skipped by an open breaker; the caller
-// degrades to local without having paid any network cost.
-var errShortCircuit = errors.New("cluster: peer breaker open")
-
-// forward sends one owner group to its peer and returns the scores. It
-// enforces the per-attempt PeerTimeout, propagates the caller's remaining
-// deadline in the body, honours Retry-After on 429 without charging the
-// peer's health, and retries transport failures with jittered backoff up to
-// MaxRetries. Any error return means "fall back to local".
+// forward sends one owner group to its peer in exactly one HTTP attempt and
+// returns the scores. Success resets the peer's failure streak; a failure
+// advances it unless the peer shed the request or the caller's context
+// ended, where the peer's health is unknown.
 func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, error) {
-	allowed, probe := p.br.allow()
-	if !allowed {
-		c.shortCircuits.Add(1)
-		if c.mShortC != nil {
-			c.mShortC.Inc()
-		}
-		return nil, errShortCircuit
-	}
-
 	body, err := json.Marshal(c.wireRequest(ctx, sub))
 	if err != nil {
-		p.br.release(probe)
 		return nil, fmt.Errorf("cluster: encode forward: %w", err)
 	}
-
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			backoff := c.cfg.RetryBackoff + time.Duration(rand.Int63n(int64(c.cfg.RetryBackoff)))
-			if !sleepCtx(ctx, backoff) {
-				p.br.release(probe)
-				return nil, ctx.Err()
-			}
+	scores, err := c.post(ctx, p, body, len(sub))
+	if err == nil {
+		c.noteSuccess(p)
+		p.forwards.Add(1)
+		if p.mFwd != nil {
+			p.mFwd.Inc()
 		}
-		scores, retryAfter, err := c.post(ctx, p, body, len(sub))
-		if err == nil {
-			p.br.success()
-			c.noteSuccess(p)
-			p.forwards.Add(1)
-			if p.mFwd != nil {
-				p.mFwd.Inc()
-			}
-			return scores, nil
-		}
-		lastErr = err
-		p.forwardErrs.Add(1)
-		if p.mFErr != nil {
-			p.mFErr.Inc()
-		}
-		if ctx.Err() != nil {
-			p.br.release(probe)
-			return nil, err
-		}
-		if retryAfter >= 0 {
-			// 429: the peer is alive and shedding load — deliberately not a
-			// breaker or health failure. Wait as instructed if the budget
-			// allows, then retry; otherwise degrade to local.
-			c.retry429Waits.Add(1)
-			if !sleepCtx(ctx, retryAfter) {
-				p.br.release(probe)
-				return nil, err
-			}
-			continue
-		}
-		p.br.fail()
-		c.noteFailure(p, err)
-		if probe {
-			// The half-open probe failed; don't burn retries on a peer the
-			// breaker just re-opened.
-			return nil, err
-		}
+		return scores, nil
 	}
-	return nil, lastErr
+	p.forwardErrs.Add(1)
+	if p.mFErr != nil {
+		p.mFErr.Inc()
+	}
+	if ctx.Err() == nil && !errors.Is(err, errShedding) {
+		c.noteFailure(p, err)
+	}
+	return nil, err
 }
 
 // wireRequest builds the forwarded /align body, propagating the remaining
@@ -825,51 +625,42 @@ func (c *Cluster) wireRequest(ctx context.Context, sub []dna.Pair) wireAlignReq 
 	return req
 }
 
-// post performs one forward attempt. retryAfter is ≥0 only for a 429, carrying
-// the peer's requested wait (capped at PeerTimeout).
-func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int) (scores []int, retryAfter time.Duration, err error) {
+// post performs one forward attempt, bounded by PeerTimeout. A 429 comes
+// back as errShedding.
+func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int) ([]int, error) {
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, p.url+"/align", bytes.NewReader(body))
 	if err != nil {
-		return nil, -1, fmt.Errorf("cluster: peer %s: %w", p.id, err)
+		return nil, fmt.Errorf("cluster: peer %s: %w", p.id, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ForwardHeader, c.self)
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
-		return nil, -1, fmt.Errorf("cluster: peer %s: %w", p.id, err)
+		return nil, fmt.Errorf("cluster: peer %s: %w", p.id, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerRespBytes))
 	if err != nil {
-		return nil, -1, fmt.Errorf("cluster: peer %s: read response: %w", p.id, err)
+		return nil, fmt.Errorf("cluster: peer %s: read response: %w", p.id, err)
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
-		wait := c.cfg.RetryBackoff
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, perr := strconv.Atoi(s); perr == nil && secs >= 0 {
-				wait = time.Duration(secs) * time.Second
-			}
-		}
-		if wait > c.cfg.PeerTimeout {
-			wait = c.cfg.PeerTimeout
-		}
-		return nil, wait, fmt.Errorf("cluster: peer %s shedding (429)", p.id)
+		return nil, fmt.Errorf("cluster: peer %s: %w", p.id, errShedding)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg := strings.TrimSpace(string(raw))
 		if len(msg) > 200 {
 			msg = msg[:200]
 		}
-		return nil, -1, fmt.Errorf("cluster: peer %s: HTTP %d: %s", p.id, resp.StatusCode, msg)
+		return nil, fmt.Errorf("cluster: peer %s: HTTP %d: %s", p.id, resp.StatusCode, msg)
 	}
 	var out wireAlignResp
 	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, -1, fmt.Errorf("cluster: peer %s: decode response: %w", p.id, err)
+		return nil, fmt.Errorf("cluster: peer %s: decode response: %w", p.id, err)
 	}
 	if len(out.Scores) != wantScores {
-		return nil, -1, fmt.Errorf("cluster: peer %s returned %d scores for %d pairs", p.id, len(out.Scores), wantScores)
+		return nil, fmt.Errorf("cluster: peer %s returned %d scores for %d pairs", p.id, len(out.Scores), wantScores)
 	}
 	if out.Report.CacheHits > 0 {
 		p.peerCacheHits.Add(int64(out.Report.CacheHits))
@@ -877,7 +668,7 @@ func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int
 			c.mPeerHits.Add(int64(out.Report.CacheHits))
 		}
 	}
-	return out.Scores, -1, nil
+	return out.Scores, nil
 }
 
 // WirePair is one (pattern, text) pair as ACGT strings on the peer wire —
@@ -908,22 +699,6 @@ type WarmRequest struct {
 	Scores []int      `json:"scores"`
 }
 
-// sleepCtx sleeps for d or until the context ends; reports whether the full
-// sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // prober is the background health loop: it probes live peers at
 // ProbeInterval (so silent deaths and draining peers are noticed even
 // without traffic) and quarantined peers after their cooldown, readmitting
@@ -947,7 +722,7 @@ func (c *Cluster) prober() {
 		c.mu.Lock()
 		for _, p := range c.order {
 			switch p.state {
-			case Healthy, Suspect:
+			case Healthy:
 				if now.Sub(p.lastProbe) >= c.cfg.ProbeInterval {
 					p.lastProbe = now
 					due = append(due, p)
@@ -1056,7 +831,7 @@ func (c *Cluster) BeginDrain(ctx context.Context) {
 	r := c.currentRing()
 	live := make(map[string]*peer, len(c.peers))
 	for id, p := range c.peers {
-		if p.state == Healthy || p.state == Suspect {
+		if p.state == Healthy {
 			live[id] = p
 		}
 	}

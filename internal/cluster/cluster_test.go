@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -104,8 +106,19 @@ func newPeerServer(t *testing.T) *peerServer {
 	mux.HandleFunc("/align", func(w http.ResponseWriter, r *http.Request) {
 		p.aligns.Add(1)
 		p.lastHops.Store(r.Header.Get(ForwardHeader))
+		// Reading the body to EOF lets the server notice a client that
+		// gives up, so a sleeping handler ends with the forward.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		if p.sleep > 0 {
-			time.Sleep(p.sleep)
+			select {
+			case <-time.After(p.sleep):
+			case <-r.Context().Done():
+				return
+			}
 		}
 		if p.fail.Load() {
 			http.Error(w, "boom", http.StatusInternalServerError)
@@ -119,7 +132,7 @@ func newPeerServer(t *testing.T) *peerServer {
 			return
 		}
 		var req wireAlignReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -175,8 +188,8 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	members := []string{"n1", "n2", "n3"}
-	a := buildRing(members, 64)
-	b := buildRing([]string{"n3", "n1", "n2"}, 64) // order-independent
+	a := buildRing(members)
+	b := buildRing([]string{"n3", "n1", "n2"}) // order-independent
 	if !reflect.DeepEqual(a.hashes, b.hashes) || !reflect.DeepEqual(a.owners, b.owners) {
 		t.Fatal("ring must be deterministic and member-order independent")
 	}
@@ -206,8 +219,8 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 }
 
 func TestRingRehomesMinimally(t *testing.T) {
-	full := buildRing([]string{"n1", "n2", "n3"}, 64)
-	reduced := buildRing([]string{"n1", "n3"}, 64)
+	full := buildRing([]string{"n1", "n2", "n3"})
+	reduced := buildRing([]string{"n1", "n3"})
 	rng := rand.New(rand.NewPCG(11, 0))
 	moved, kept := 0, 0
 	for i := 0; i < 5000; i++ {
@@ -346,12 +359,13 @@ func TestDeadPeerFallsBackToLocal(t *testing.T) {
 	url := peer.ts.URL
 	peer.ts.Close() // dead from the start
 	local := &fakeLocal{}
+	tr := &countingTransport{}
 	c := newTestCluster(t, Config{
 		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
 		Peers:         []Peer{{ID: "n2", URL: url}},
 		ProbeInterval: time.Hour,
-		MaxRetries:    -1, // no retries: fail straight to local
 		PeerTimeout:   200 * time.Millisecond,
+		Client:        &http.Client{Transport: tr},
 	})
 	pairs := testPairs(t, 48)
 	res, err := c.Align(context.Background(), pairs)
@@ -361,48 +375,37 @@ func TestDeadPeerFallsBackToLocal(t *testing.T) {
 	if !reflect.DeepEqual(res.Scores, wantScores(pairs)) {
 		t.Fatal("fallback scores differ from the reference")
 	}
-	st := c.Stats()
-	if st.FallbackPairs == 0 {
-		t.Fatal("expected local fallbacks for the dead peer's pairs")
+	if got := tr.aligns.Load(); got != 1 {
+		t.Fatalf("the dead peer got %d forward attempts, want exactly 1", got)
 	}
-	if st.ForwardedPairs != 0 {
-		t.Fatal("nothing should have been served by the dead peer")
+	st := c.Stats()
+	if st.FallbackPairs == 0 || st.ForwardedPairs != 0 || st.LocalPairs+st.FallbackPairs != int64(len(pairs)) {
+		t.Fatalf("want the dead peer's pairs served locally, the rest as usual: %+v", st)
+	}
+	if p := st.Peers[0]; p.ConsecFailures != 1 || p.ForwardErrors != 1 {
+		t.Fatalf("one failed forward must count once against the peer: %+v", p)
 	}
 }
 
-func TestBreakerShortCircuitsDeadPeer(t *testing.T) {
-	peer := newPeerServer(t)
-	url := peer.ts.URL
-	peer.ts.Close()
-	local := &fakeLocal{}
-	c := newTestCluster(t, Config{
-		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
-		Peers:           []Peer{{ID: "n2", URL: url}},
-		ProbeInterval:   time.Hour,
-		MaxRetries:      -1,
-		BreakerFailures: 2,
-		BreakerCooldown: time.Hour,
-		PeerTimeout:     200 * time.Millisecond,
-	})
-	pairs := testPairs(t, 8)
-	for i := 0; i < 6; i++ {
-		if _, err := c.Align(context.Background(), pairs); err != nil {
-			t.Fatal(err)
-		}
+// countingTransport counts the /align requests it sends, whether or not
+// the peer answers.
+type countingTransport struct{ aligns atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/align" {
+		c.aligns.Add(1)
 	}
-	st := c.Stats()
-	if st.ShortCircuits == 0 {
-		t.Fatalf("breaker never short-circuited: %+v", st)
-	}
-	if len(st.Peers) != 1 || st.Peers[0].Breaker != BreakerOpen {
-		t.Fatalf("peer breaker should be open: %+v", st.Peers)
-	}
+	return http.DefaultTransport.RoundTrip(r)
 }
 
-func TestRetryAfterHonoredOn429(t *testing.T) {
+// TestPeer429FallsBackWithoutWaiting pins the one-attempt forward against a
+// shedding peer: the 429 is not retried and its Retry-After is not waited
+// out, the group is scored locally at once, and the peer's health is
+// untouched (an alive-but-shedding peer is not a failing one).
+func TestPeer429FallsBackWithoutWaiting(t *testing.T) {
 	peer := newPeerServer(t)
-	peer.shedWait = "1"
-	peer.shed.Store(1) // first /align sheds, second succeeds
+	peer.shedWait = "30"
+	peer.shed.Store(1) // the first /align sheds
 	local := &fakeLocal{}
 	c := newTestCluster(t, Config{
 		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
@@ -410,32 +413,27 @@ func TestRetryAfterHonoredOn429(t *testing.T) {
 		ProbeInterval: time.Hour,
 		PeerTimeout:   5 * time.Second,
 	})
-	// Find pairs owned by the peer so a forward definitely happens.
 	pairs := ownedBy(t, c, "n2", 4)
 	begin := time.Now()
 	res, err := c.Align(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if elapsed := time.Since(begin); elapsed >= 500*time.Millisecond {
+		t.Fatalf("a 429 delayed the answer by %v", elapsed)
+	}
 	if !reflect.DeepEqual(res.Scores, wantScores(pairs)) {
 		t.Fatal("scores differ")
 	}
+	if got := peer.aligns.Load(); got != 1 {
+		t.Fatalf("the shedding peer got %d forward attempts, want exactly 1", got)
+	}
 	st := c.Stats()
-	if st.Retry429Waits == 0 {
-		t.Fatal("the 429 wait was not recorded")
+	if st.FallbackPairs != int64(len(pairs)) || st.ForwardedPairs != 0 {
+		t.Fatalf("want all %d pairs served locally: %+v", len(pairs), st)
 	}
-	if waited := time.Since(begin); waited < 900*time.Millisecond {
-		t.Fatalf("Retry-After: 1 was not honoured (returned after %v)", waited)
-	}
-	if st.ForwardedPairs != int64(len(pairs)) {
-		t.Fatalf("the retried forward should have succeeded: %+v", st)
-	}
-	// A shedding peer is healthy: 429 must not advance the health machine.
-	if st.Peers[0].State != Healthy {
-		t.Fatalf("429 marked the peer %v", st.Peers[0].State)
-	}
-	if st.Peers[0].Breaker != BreakerClosed {
-		t.Fatalf("429 moved the breaker to %v", st.Peers[0].Breaker)
+	if p := st.Peers[0]; p.State != Healthy || p.ConsecFailures != 0 {
+		t.Fatalf("a 429 moved the peer's health: %+v", p)
 	}
 }
 
@@ -544,9 +542,12 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	}
 }
 
-// --- hedging ---
-
-func TestHedgeLocalWinsAgainstSlowPeer(t *testing.T) {
+// TestSlowPeerTimesOutToLocal pins PeerTimeout as the bound on a forward:
+// a peer that answers after the timeout costs one attempt and one failure
+// on its streak, and the group is scored locally. A caller whose own
+// deadline ends first gets its context error and leaves the peer's health
+// alone.
+func TestSlowPeerTimesOutToLocal(t *testing.T) {
 	peer := newPeerServer(t)
 	peer.sleep = 2 * time.Second // peer is alive but glacial
 	local := &fakeLocal{}
@@ -554,24 +555,39 @@ func TestHedgeLocalWinsAgainstSlowPeer(t *testing.T) {
 		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
 		Peers:         []Peer{{ID: "n2", URL: peer.ts.URL}},
 		ProbeInterval: time.Hour,
-		HedgeAfter:    30 * time.Millisecond,
-		PeerTimeout:   10 * time.Second,
+		PeerTimeout:   100 * time.Millisecond,
 	})
 	pairs := ownedBy(t, c, "n2", 8)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.Align(ctx, pairs); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Align past the caller's deadline: %v, want context.DeadlineExceeded", err)
+	}
+	if p := c.Stats().Peers[0]; p.ConsecFailures != 0 {
+		t.Fatalf("the caller's deadline counted against the peer: %+v", p)
+	}
+
 	begin := time.Now()
 	res, err := c.Align(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(begin); elapsed > time.Second {
-		t.Fatalf("hedge did not rescue the slow forward (took %v)", elapsed)
+		t.Fatalf("PeerTimeout did not bound the slow forward (took %v)", elapsed)
 	}
 	if !reflect.DeepEqual(res.Scores, wantScores(pairs)) {
-		t.Fatal("hedged scores differ")
+		t.Fatal("fallback scores differ")
+	}
+	if got := peer.aligns.Load(); got != 2 {
+		t.Fatalf("the slow peer got %d forward attempts for two calls, want exactly 2", got)
 	}
 	st := c.Stats()
-	if st.Hedges == 0 || st.HedgeLocalWins == 0 {
-		t.Fatalf("hedge not recorded: %+v", st)
+	if st.FallbackPairs != int64(len(pairs)) || st.ForwardedPairs != 0 {
+		t.Fatalf("want all %d pairs served locally: %+v", len(pairs), st)
+	}
+	if p := st.Peers[0]; p.ConsecFailures != 1 || p.State != Healthy {
+		t.Fatalf("one timed-out forward must count once: %+v", p)
 	}
 }
 

@@ -2,7 +2,7 @@ package cluster
 
 // This file is the routing half of the cluster layer: a consistent-hash
 // ring mapping aligncache content addresses onto node IDs. Each member
-// contributes Replicas virtual points (SHA-256 of "id#vnode", first eight
+// contributes replicas virtual points (SHA-256 of "id#vnode", first eight
 // bytes), so membership changes move only ~1/N of the key space — the
 // property that makes peer caches worth forwarding to: when a node dies,
 // only its arc re-homes; when it is readmitted, the same arc re-homes back,
@@ -29,15 +29,12 @@ type ring struct {
 	nodes  []string // distinct members, sorted (for stats)
 }
 
-// buildRing constructs the ring over the given members with the given
-// virtual-point count per member. An empty member list yields a nil ring;
-// callers treat a nil ring as "route everything locally".
-func buildRing(members []string, replicas int) *ring {
+// buildRing constructs the ring over the given members, replicas virtual
+// points each. An empty member list yields a nil ring; callers treat a nil
+// ring as "route everything locally".
+func buildRing(members []string) *ring {
 	if len(members) == 0 {
 		return nil
-	}
-	if replicas <= 0 {
-		replicas = defaultReplicas
 	}
 	r := &ring{
 		hashes: make([]uint64, 0, len(members)*replicas),

@@ -14,11 +14,7 @@ type Stats struct {
 	LocalPairs     int64 `json:"local_pairs"`     // pairs served because we own them
 	ForwardedPairs int64 `json:"forwarded_pairs"` // pairs answered by a peer
 	FallbackPairs  int64 `json:"fallback_pairs"`  // peer-owned pairs served locally after a failed forward
-	ShortCircuits  int64 `json:"short_circuits"`  // forwards skipped by an open breaker
-	Hedges         int64 `json:"hedges"`          // local races started against slow forwards
-	HedgeLocalWins int64 `json:"hedge_local_wins"`
-	Retry429Waits  int64 `json:"retry_after_waits"` // Retry-After waits honoured on peer 429s
-	PeerCacheHits  int64 `json:"peer_cache_hits"`   // cache hits peers reported for our forwards
+	PeerCacheHits  int64 `json:"peer_cache_hits"` // cache hits peers reported for our forwards
 
 	ForwardedServed int64 `json:"forwarded_served"` // forwarded requests we served for peers
 	LoopRejects     int64 `json:"loop_rejects"`     // forwards rejected by the hop guard
@@ -33,18 +29,16 @@ type Stats struct {
 
 // PeerSnapshot is the exported view of one peer's health and counters.
 type PeerSnapshot struct {
-	ID             string       `json:"id"`
-	URL            string       `json:"url"`
-	State          State        `json:"state"`
-	ConsecFailures int          `json:"consec_failures"`
-	Quarantines    int64        `json:"quarantines"`
-	Readmissions   int64        `json:"readmissions"`
-	Forwards       int64        `json:"forwards"`
-	ForwardErrors  int64        `json:"forward_errors"`
-	PeerCacheHits  int64        `json:"peer_cache_hits"`
-	Breaker        BreakerState `json:"breaker"`
-	BreakerTrips   int64        `json:"breaker_trips"`
-	LastError      string       `json:"last_error,omitempty"`
+	ID             string `json:"id"`
+	URL            string `json:"url"`
+	State          State  `json:"state"`
+	ConsecFailures int    `json:"consec_failures"`
+	Quarantines    int64  `json:"quarantines"`
+	Readmissions   int64  `json:"readmissions"`
+	Forwards       int64  `json:"forwards"`
+	ForwardErrors  int64  `json:"forward_errors"`
+	PeerCacheHits  int64  `json:"peer_cache_hits"`
+	LastError      string `json:"last_error,omitempty"`
 }
 
 // Stats snapshots the cluster. The membership fields are taken under the
@@ -61,10 +55,6 @@ func (c *Cluster) Stats() Stats {
 		LocalPairs:      c.localPairs.Load(),
 		ForwardedPairs:  c.forwardedPairs.Load(),
 		FallbackPairs:   c.fallbackPairs.Load(),
-		ShortCircuits:   c.shortCircuits.Load(),
-		Hedges:          c.hedges.Load(),
-		HedgeLocalWins:  c.hedgeLocalWins.Load(),
-		Retry429Waits:   c.retry429Waits.Load(),
 		ForwardedServed: c.forwardedServed.Load(),
 		LoopRejects:     c.loopRejects.Load(),
 		HotSetEntries:   int64(c.hot.len()),
@@ -77,7 +67,6 @@ func (c *Cluster) Stats() Stats {
 	st.RingVersion = c.ringVersion
 	st.Rehomes = c.rehomes
 	for _, p := range c.order {
-		brState, trips, _ := p.br.snapshot()
 		snap := PeerSnapshot{
 			ID:             p.id,
 			URL:            p.url,
@@ -88,8 +77,6 @@ func (c *Cluster) Stats() Stats {
 			Forwards:       p.forwards.Load(),
 			ForwardErrors:  p.forwardErrs.Load(),
 			PeerCacheHits:  p.peerCacheHits.Load(),
-			Breaker:        brState,
-			BreakerTrips:   trips,
 			LastError:      p.lastErr,
 		}
 		st.PeerCacheHits += snap.PeerCacheHits

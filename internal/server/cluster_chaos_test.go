@@ -19,6 +19,7 @@ import (
 	"repro/internal/alignsvc"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/tenant"
 )
 
 // clusterNode is one in-process cluster member: a full service + cluster +
@@ -60,8 +61,9 @@ func (n *clusterNode) revive() { n.dead.Store(false) }
 
 // newClusterNodes stands up count nodes that know each other by static
 // membership. Listeners are created first so every node can be configured
-// with the others' URLs before any handler is live.
-func newClusterNodes(t *testing.T, count int, tune func(i int, cfg *cluster.Config)) []*clusterNode {
+// with the others' URLs before any handler is live. tune, when set, adjusts
+// node i's cluster and server configs before they are built.
+func newClusterNodes(t *testing.T, count int, tune func(i int, ccfg *cluster.Config, scfg *Config)) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, count)
 	for i := range nodes {
@@ -94,32 +96,28 @@ func newClusterNodes(t *testing.T, count int, tune func(i int, cfg *cluster.Conf
 			Scoring:         n.svc.Scoring(),
 			Lanes:           n.svc.Lanes(),
 			PeerTimeout:     750 * time.Millisecond,
-			HedgeAfter:      25 * time.Millisecond,
 			ProbeInterval:   50 * time.Millisecond,
-			SuspectAfter:    1,
 			QuarantineAfter: 2,
-			BreakerFailures: 3,
-			BreakerCooldown: 100 * time.Millisecond,
-			RetryBackoff:    time.Millisecond,
 			Metrics:         reg,
 		}
+		scfg := Config{
+			Service:     n.svc,
+			MaxInFlight: 16,
+			MaxQueued:   32,
+			MaxPairs:    64,
+			MaxSeqLen:   256,
+			Metrics:     reg,
+		}
 		if tune != nil {
-			tune(i, &ccfg)
+			tune(i, &ccfg, &scfg)
 		}
 		cl, err := cluster.New(ccfg)
 		if err != nil {
 			t.Fatalf("cluster.New(%s): %v", n.id, err)
 		}
 		n.cl = cl
-		srv, err := New(Config{
-			Service:     n.svc,
-			Cluster:     cl,
-			MaxInFlight: 16,
-			MaxQueued:   32,
-			MaxPairs:    64,
-			MaxSeqLen:   256,
-			Metrics:     reg,
-		})
+		scfg.Cluster = cl
+		srv, err := New(scfg)
 		if err != nil {
 			t.Fatalf("server.New(%s): %v", n.id, err)
 		}
@@ -384,6 +382,62 @@ func TestClusterChaosSoak(t *testing.T) {
 	}
 	if accepted == 0 {
 		t.Fatal("no node accepted n1's warm handoff")
+	}
+}
+
+// TestClusterRefusedForwardServesLocally pins the one-attempt forward end
+// to end. Forwards carry no credentials, so the owner admits them as its
+// anonymous tenant. Here that tenant is rate-limited: after the first
+// forward the owner refuses each one with 429 and a 30 s Retry-After. A
+// keyed, unlimited client must still get exact scores at once, because the
+// entry node scores the peer's pairs locally instead of waiting, and the
+// refusals must not count against the peer's health.
+func TestClusterRefusedForwardServesLocally(t *testing.T) {
+	nodes := newClusterNodes(t, 2, func(i int, ccfg *cluster.Config, scfg *Config) {
+		ccfg.PeerTimeout = 5 * time.Second // swaserver's -peer-timeout default
+		reg, err := tenant.NewRegistry(tenant.Config{
+			Anonymous: &tenant.Limits{RPS: 0.01, Burst: 1},
+			Tenants:   []tenant.TenantConfig{{ID: "lab", Key: "sk-lab"}},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Tenants = reg
+	})
+	entry := nodes[0].ts.URL
+	var last cluster.Stats
+	for i := 0; i < 4; i++ {
+		pairs, want := testPairs(16, 8, 24, 500+uint64(i))
+		begin := time.Now()
+		status, raw, _ := postAlignAs(t, entry, "sk-lab", "", AlignRequest{Pairs: pairsJSON(pairs)})
+		elapsed := time.Since(begin)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status, raw)
+		}
+		var res AlignResponse
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Scores, want) {
+			t.Fatalf("request %d: scores %v, want %v", i, res.Scores, want)
+		}
+		if elapsed >= 500*time.Millisecond {
+			t.Fatalf("request %d took %v", i, elapsed)
+		}
+		st, err := clusterStatsOf(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && st.FallbackPairs == last.FallbackPairs {
+			t.Fatalf("request %d: no refused forward was scored locally: %+v", i, st)
+		}
+		last = *st
+	}
+	if last.ForwardedPairs == 0 {
+		t.Fatalf("the first request forwarded nothing: %+v", last)
+	}
+	if p := findPeer(&last, "n1"); p == nil || p.State != cluster.Healthy {
+		t.Fatalf("429s moved the peer's health: %+v", p)
 	}
 }
 

@@ -93,15 +93,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusMethodNotAllowed, CodeBadRequest, "POST only")
 		return
 	}
-	if s.Draining() {
-		s.drainRefusals.Add(1)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-	t := s.resolveTenant(w, r)
+	t, end := s.enter(w, r)
 	if t == nil {
 		return
 	}
+	defer end()
 	sub, status, code, err := s.parseJobRequest(w, r)
 	if err != nil {
 		s.rejected.Add(1)
@@ -111,19 +107,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// The same token buckets as /align guard the async door: a tenant
 	// cannot dodge its rate limits by submitting jobs instead. Search
 	// jobs charge their post-prefilter candidate cells, like /search.
-	if ok, wait := t.AllowRequest(); !ok {
-		s.rejectRateLimited(w, r, t, wait, "request rate limit")
-		return
-	}
-	var cells float64
-	if sub.search {
-		cand := sub.handle.Corpus.Prefilter(sub.query, sub.params)
-		cells = float64(candidateCells(sub.handle.Corpus, len(sub.query), cand))
-	} else {
-		cells = float64(alignsvc.Cells(sub.pairs))
-	}
-	if ok, wait := t.AllowCells(cells); !ok {
-		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
+	if !s.charge(w, r, t, func() int64 {
+		if sub.search {
+			cand := sub.handle.Corpus.Prefilter(sub.query, sub.params)
+			return candidateCells(sub.handle.Corpus, len(sub.query), cand)
+		}
+		return alignsvc.Cells(sub.pairs)
+	}) {
 		return
 	}
 	var (
@@ -153,8 +143,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			err.Error())
 		return
 	case errors.Is(err, jobs.ErrDraining):
-		s.drainRefusals.Add(1)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.refuseDraining(w, r)
 		return
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())

@@ -16,12 +16,9 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dna"
-	"repro/internal/obs"
-	"repro/internal/tenant"
 )
 
 // CodeNoCorpus rejects a search naming an unmounted corpus (404: the
@@ -145,17 +142,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.searchRequests.Add(1)
-	if s.Draining() {
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-	t := s.resolveTenant(w, r)
+	t, end := s.enter(w, r)
 	if t == nil {
 		return
 	}
-	defer obs.FromContext(r.Context()).StartSpan("tenant." + t.ID)()
+	defer end()
 
 	var req SearchRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -189,48 +180,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// it before admission is safe; the expensive SW stage is what the
 	// admission slot and the cell bucket actually guard. The same
 	// candidates are then scored, so the prefilter runs once per request.
-	if ok, wait := t.AllowRequest(); !ok {
-		s.rejectRateLimited(w, r, t, wait, "request rate limit")
+	var cand corpus.Candidates
+	if !s.charge(w, r, t, func() int64 {
+		cand = h.Corpus.Prefilter(q, p)
+		return candidateCells(h.Corpus, len(q), cand)
+	}) {
 		return
 	}
-	cand := h.Corpus.Prefilter(q, p)
-	if ok, wait := t.AllowCells(float64(candidateCells(h.Corpus, len(q), cand))); !ok {
-		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
+	release, ok := s.admit(w, r, t)
+	if !ok {
 		return
 	}
-
-	waitBegin := time.Now()
-	release, admit := s.sched.Admit(r.Context(), t.ID)
-	s.obs.Histogram(obs.L("tenant_admission_wait_seconds", "tenant", t.ID),
-		obs.LatencyBuckets).Observe(time.Since(waitBegin).Seconds())
-	switch admit {
-	case tenant.AdmitShed:
-		s.shed.Add(1)
-		s.admissionOutcome("shed")
-		s.tenantOutcome(t.ID, "shed")
-		setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
-		s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull,
-			fmt.Sprintf("admission queue full for tenant %q", t.ID))
-		return
-	case tenant.AdmitDraining:
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	case tenant.AdmitCtxDone:
-		s.admissionOutcome("canceled")
-		s.writeError(w, r, statusClientClosedRequest, CodeCanceled, "client went away while queued")
-		return
-	}
-	s.admissionOutcome("ok")
-	s.tenantOutcome(t.ID, "ok")
 	defer release()
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 	res, err := h.Searcher.SearchCandidates(ctx, q, p, cand)
 	if err != nil {

@@ -557,20 +557,11 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if s.Draining() {
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-
-	// Tenant resolution before parsing: a bad credential is a cheap 401, and
-	// everything below charges quota to the resolved tenant.
-	t := s.resolveTenant(w, r)
+	t, end := s.enter(w, r)
 	if t == nil {
 		return
 	}
-	defer obs.FromContext(r.Context()).StartSpan("tenant." + t.ID)()
+	defer end()
 
 	pairs, timeout, status, code, err := s.parseRequest(w, r)
 	if err != nil {
@@ -589,46 +580,13 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-tenant rate limits: one request token, then the batch's DP-cell
-	// mass. Both are token buckets, so the refusal carries the bucket's own
-	// refill time — that, not a fixed guess, becomes Retry-After.
-	if ok, wait := t.AllowRequest(); !ok {
-		s.rejectRateLimited(w, r, t, wait, "request rate limit")
+	if !s.charge(w, r, t, func() int64 { return alignsvc.Cells(pairs) }) {
 		return
 	}
-	if ok, wait := t.AllowCells(float64(alignsvc.Cells(pairs))); !ok {
-		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
+	release, ok := s.admit(w, r, t)
+	if !ok {
 		return
 	}
-
-	// Admission: ask the weighted-fair scheduler for an execution slot. A
-	// backlogged tenant waits in its own bounded FIFO and is shed beyond it;
-	// Retry-After on shed comes from the observed queue drain rate.
-	waitBegin := time.Now()
-	release, admit := s.sched.Admit(r.Context(), t.ID)
-	s.obs.Histogram(obs.L("tenant_admission_wait_seconds", "tenant", t.ID),
-		obs.LatencyBuckets).Observe(time.Since(waitBegin).Seconds())
-	switch admit {
-	case tenant.AdmitShed:
-		s.shed.Add(1)
-		s.admissionOutcome("shed")
-		s.tenantOutcome(t.ID, "shed")
-		setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
-		s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull,
-			fmt.Sprintf("admission queue full for tenant %q", t.ID))
-		return
-	case tenant.AdmitDraining:
-		s.drainRefusals.Add(1)
-		s.admissionOutcome("draining")
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	case tenant.AdmitCtxDone:
-		s.admissionOutcome("canceled")
-		s.writeError(w, r, statusClientClosedRequest, CodeCanceled, "client went away while queued")
-		return
-	}
-	s.admissionOutcome("ok")
-	s.tenantOutcome(t.ID, "ok")
 	defer release()
 
 	// Deadline propagation: the request context (client disconnects) plus
@@ -779,11 +737,7 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (pairs []d
 			errors.New("request needs pairs or preset")
 	}
 
-	timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
-	}
-	return pairs, timeout, 0, "", nil
+	return pairs, s.timeout(req.TimeoutMS), 0, "", nil
 }
 
 // parsePairs converts and bounds client-supplied pairs. The pipeline wants
@@ -852,6 +806,23 @@ func (s *Server) presetPairs(req AlignRequest) ([]dna.Pair, int, string, error) 
 	return spec.Generate(n), 0, "", nil
 }
 
+// enter is the front door of every route that takes work (/align, /search,
+// POST /jobs): it refuses while draining, then resolves the request's
+// credentials to a tenant before anything is parsed, so a bad credential is
+// a cheap 401 and everything after charges the resolved tenant. On refusal
+// it writes the typed error and returns a nil tenant; otherwise the caller
+// defers end, which closes the request's tenant.<id> span.
+func (s *Server) enter(w http.ResponseWriter, r *http.Request) (t *tenant.Tenant, end func()) {
+	if s.Draining() {
+		s.refuseDraining(w, r)
+		return nil, nil
+	}
+	if t = s.resolveTenant(w, r); t == nil {
+		return nil, nil
+	}
+	return t, obs.FromContext(r.Context()).StartSpan("tenant." + t.ID)
+}
+
 // resolveTenant maps the request's credentials onto a tenant; on failure it
 // writes the 401 itself and returns nil.
 func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) *tenant.Tenant {
@@ -863,6 +834,76 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) *tenant.T
 		return nil
 	}
 	return t
+}
+
+// refuseDraining writes the typed 503 for work arriving during drain.
+func (s *Server) refuseDraining(w http.ResponseWriter, r *http.Request) {
+	s.drainRefusals.Add(1)
+	s.admissionOutcome("draining")
+	s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+}
+
+// charge takes one request token, then cells() DP cells, from the tenant's
+// token buckets, and writes the typed 429 when either is empty. cells runs
+// only once the request token is granted, so a request over its rate never
+// pays for /search's prefilter. The refusal's Retry-After is the bucket's
+// own refill time, not a fixed guess.
+func (s *Server) charge(w http.ResponseWriter, r *http.Request, t *tenant.Tenant, cells func() int64) bool {
+	if ok, wait := t.AllowRequest(); !ok {
+		s.rejectRateLimited(w, r, t, wait, "request rate limit")
+		return false
+	}
+	if ok, wait := t.AllowCells(float64(cells())); !ok {
+		s.rejectRateLimited(w, r, t, wait, "cell rate limit")
+		return false
+	}
+	return true
+}
+
+// admit asks the weighted-fair scheduler for an execution slot. A
+// backlogged tenant waits in its own bounded FIFO and is shed beyond it,
+// with Retry-After from the observed queue drain rate. When no slot is
+// granted admit writes the typed answer and returns false; otherwise the
+// caller defers release.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) (release func(), ok bool) {
+	waitBegin := time.Now()
+	release, res := s.sched.Admit(r.Context(), t.ID)
+	s.obs.Histogram(obs.L("tenant_admission_wait_seconds", "tenant", t.ID),
+		obs.LatencyBuckets).Observe(time.Since(waitBegin).Seconds())
+	switch res {
+	case tenant.AdmitShed:
+		s.shed.Add(1)
+		s.admissionOutcome("shed")
+		s.tenantOutcome(t.ID, "shed")
+		setRetryAfter(w, s.sched.RetryAfterHint(s.cfg.RetryAfter))
+		s.writeErrorReason(w, r, http.StatusTooManyRequests, CodeShed, ReasonQueueFull,
+			fmt.Sprintf("admission queue full for tenant %q", t.ID))
+		return nil, false
+	case tenant.AdmitDraining:
+		s.refuseDraining(w, r)
+		return nil, false
+	case tenant.AdmitCtxDone:
+		s.admissionOutcome("canceled")
+		s.writeError(w, r, statusClientClosedRequest, CodeCanceled, "client went away while queued")
+		return nil, false
+	}
+	s.admissionOutcome("ok")
+	s.tenantOutcome(t.ID, "ok")
+	return release, true
+}
+
+// timeout is a request's deadline: timeout_ms when the client sets it,
+// capped at MaxTimeout, else DefaultTimeout. The cap is checked in
+// milliseconds, before the conversion, so a huge timeout_ms cannot wrap
+// time.Duration into an already-expired deadline.
+func (s *Server) timeout(ms int64) time.Duration {
+	if ms <= 0 {
+		return s.cfg.DefaultTimeout
+	}
+	if ms >= s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // rejectRateLimited writes the typed 429 for an empty token bucket, with

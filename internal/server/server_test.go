@@ -131,24 +131,28 @@ func decodeError(t *testing.T, raw []byte) ErrorResponse {
 func TestAlignExactScores(t *testing.T) {
 	_, ts := newTestServer(t, alignsvc.Config{}, Config{})
 	pairs, want := testPairs(48, 16, 32, 7)
-	status, raw := postAlign(t, ts.URL, AlignRequest{Pairs: pairsJSON(pairs)})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, raw)
-	}
-	var res AlignResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Scores) != len(want) {
-		t.Fatalf("got %d scores, want %d", len(res.Scores), len(want))
-	}
-	for i := range want {
-		if res.Scores[i] != want[i] {
-			t.Fatalf("score[%d] = %d, want %d", i, res.Scores[i], want[i])
+	// A timeout_ms beyond what time.Duration holds is capped at MaxTimeout;
+	// it must not wrap to an already-expired deadline.
+	for _, ms := range []int64{0, 1 << 62} {
+		status, raw := postAlign(t, ts.URL, AlignRequest{Pairs: pairsJSON(pairs), TimeoutMS: ms})
+		if status != http.StatusOK {
+			t.Fatalf("timeout_ms %d: status %d: %s", ms, status, raw)
 		}
-	}
-	if res.Report.Tier != alignsvc.TierBitwise {
-		t.Fatalf("clean batch served by %v", res.Report.Tier)
+		var res AlignResponse
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Scores) != len(want) {
+			t.Fatalf("got %d scores, want %d", len(res.Scores), len(want))
+		}
+		for i := range want {
+			if res.Scores[i] != want[i] {
+				t.Fatalf("score[%d] = %d, want %d", i, res.Scores[i], want[i])
+			}
+		}
+		if res.Report.Tier != alignsvc.TierBitwise {
+			t.Fatalf("clean batch served by %v", res.Report.Tier)
+		}
 	}
 }
 
