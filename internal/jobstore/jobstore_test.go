@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,14 @@ func testPairs(n int) []PairData {
 	}
 	return out
 }
+
+// submit persists an alignment job owned by the anonymous tenant.
+func submit(s *Store, id, key string, chunkSize int, pairs []PairData) (*Job, error) {
+	return s.Submit(SubmitRecord{ID: id, Key: key, ChunkSize: chunkSize, Pairs: pairs})
+}
+
+// scores is the checkpoint of an alignment chunk.
+func scores(v ...int) Checkpoint { return Checkpoint{Scores: v} }
 
 func mustOpen(t *testing.T, dir string) (*Store, ReplayReport) {
 	t.Helper()
@@ -33,7 +42,7 @@ func TestSubmitGetByKey(t *testing.T) {
 	if rep.Records != 0 || rep.Jobs != 0 {
 		t.Fatalf("fresh dir replay: %+v", rep)
 	}
-	j, err := s.Submit("j1", "key-1", 4, testPairs(10))
+	j, err := submit(s, "j1", "key-1", 4, testPairs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func TestSubmitGetByKey(t *testing.T) {
 	if !ok || byKey.ID != "j1" {
 		t.Fatalf("ByKey: %+v ok=%v", byKey, ok)
 	}
-	if _, err := s.Submit("j1", "", 4, testPairs(1)); err == nil {
+	if _, err := submit(s, "j1", "", 4, testPairs(1)); err == nil {
 		t.Fatal("duplicate job ID accepted")
 	}
 }
@@ -59,7 +68,7 @@ func TestSubmitGetByKey(t *testing.T) {
 func TestStateMachineTransitions(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir())
 	defer s.Close()
-	if _, err := s.Submit("j", "", 2, testPairs(4)); err != nil {
+	if _, err := submit(s, "j", "", 2, testPairs(4)); err != nil {
 		t.Fatal(err)
 	}
 	// queued → done is illegal.
@@ -83,7 +92,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	if _, err := s.SetState("j", StateRunning, ""); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("cancelled→running: %v", err)
 	}
-	if err := s.AddChunk("j", 0, []int{1, 2}); !errors.Is(err, ErrBadTransition) {
+	if err := s.AddChunk("j", 0, scores(1, 2)); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("chunk on terminal job: %v", err)
 	}
 	if _, err := s.SetState("missing", StateRunning, ""); !errors.Is(err, ErrNotFound) {
@@ -94,64 +103,62 @@ func TestStateMachineTransitions(t *testing.T) {
 func TestChunkCheckpointsAndScores(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir())
 	defer s.Close()
-	if _, err := s.Submit("j", "", 3, testPairs(7)); err != nil {
+	if _, err := submit(s, "j", "", 3, testPairs(7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("j", StateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddChunk("j", 0, []int{1, 2, 3}); err != nil {
+	if err := s.AddChunk("j", 0, scores(1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong length, bad index, duplicate.
-	if err := s.AddChunk("j", 1, []int{4}); err == nil {
+	if err := s.AddChunk("j", 1, scores(4)); err == nil {
 		t.Fatal("short chunk accepted")
 	}
-	if err := s.AddChunk("j", 3, []int{1}); err == nil {
+	if err := s.AddChunk("j", 3, scores(1)); err == nil {
 		t.Fatal("out-of-range chunk accepted")
 	}
-	if err := s.AddChunk("j", 0, []int{1, 2, 3}); !errors.Is(err, ErrDuplicateChunk) {
+	if err := s.AddChunk("j", 0, scores(1, 2, 3)); !errors.Is(err, ErrDuplicateChunk) {
 		t.Fatalf("duplicate chunk: %v", err)
 	}
-	if err := s.AddChunk("j", 1, []int{4, 5, 6}); err != nil {
+	if err := s.AddChunk("j", 1, scores(4, 5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	j, _ := s.Get("j")
-	if _, err := j.Scores(); err == nil {
-		t.Fatal("Scores with a missing chunk succeeded")
+	if _, err := j.Result(); err == nil {
+		t.Fatal("Result with a missing chunk succeeded")
 	}
-	if err := s.AddChunk("j", 2, []int{7}); err != nil {
+	if err := s.AddChunk("j", 2, scores(7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("j", StateDone, ""); err != nil {
 		t.Fatal(err)
 	}
 	j, _ = s.Get("j")
-	scores, err := j.Scores()
+	res, err := j.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3, 4, 5, 6, 7}
-	for i := range want {
-		if scores[i] != want[i] {
-			t.Fatalf("scores = %v, want %v", scores, want)
-		}
+	if !reflect.DeepEqual(res, scores(want...)) {
+		t.Fatalf("result = %+v, want scores %v", res, want)
 	}
 }
 
 func TestReplayRebuildsState(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
-	if _, err := s.Submit("a", "ka", 2, testPairs(4)); err != nil {
+	if _, err := submit(s, "a", "ka", 2, testPairs(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit("b", "kb", 2, testPairs(2)); err != nil {
+	if _, err := submit(s, "b", "kb", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("a", StateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddChunk("a", 0, []int{5, 6}); err != nil {
+	if err := s.AddChunk("a", 0, scores(5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("b", StateCancelled, ""); err != nil {
@@ -167,7 +174,7 @@ func TestReplayRebuildsState(t *testing.T) {
 		t.Fatalf("replay report: %+v", rep)
 	}
 	a, ok := s2.Get("a")
-	if !ok || a.State != StateRunning || a.ChunksDone() != 1 || a.Chunks[0][0] != 5 {
+	if !ok || a.State != StateRunning || a.ChunksDone() != 1 || a.Chunks[0].Scores[0] != 5 {
 		t.Fatalf("replayed job a: %+v", a)
 	}
 	b, ok := s2.Get("b")
@@ -178,7 +185,7 @@ func TestReplayRebuildsState(t *testing.T) {
 		t.Fatal("idempotency key lost in replay")
 	}
 	// Appends continue cleanly after replay.
-	if err := s2.AddChunk("a", 1, []int{7, 8}); err != nil {
+	if err := s2.AddChunk("a", 1, scores(7, 8)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,7 +193,7 @@ func TestReplayRebuildsState(t *testing.T) {
 func TestDropGC(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
-	if _, err := s.Submit("j", "k", 2, testPairs(2)); err != nil {
+	if _, err := submit(s, "j", "k", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Drop("j"); !errors.Is(err, ErrBadTransition) {
@@ -219,7 +226,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := submit(s, fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +249,7 @@ func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := submit(s, fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +275,7 @@ func TestTornTailTruncation(t *testing.T) {
 	if _, ok := s2.Get("j2"); ok {
 		t.Fatal("torn job j2 survived")
 	}
-	if _, err := s2.Submit("j3", "", 4, testPairs(4)); err != nil {
+	if _, err := submit(s2, "j3", "", 4, testPairs(4)); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -287,7 +294,7 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := submit(s, fmt.Sprintf("j%d", i), "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +334,7 @@ func TestSyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Submit("j", "", 1, testPairs(1)); err != nil {
+			if _, err := submit(s, "j", "", 1, testPairs(1)); err != nil {
 				t.Fatal(err)
 			}
 			if pol == SyncInterval {
@@ -376,7 +383,7 @@ func TestStateCountsAndList(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir())
 	defer s.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(fmt.Sprintf("j%d", i), "", 1, testPairs(1)); err != nil {
+		if _, err := submit(s, fmt.Sprintf("j%d", i), "", 1, testPairs(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +427,7 @@ func TestDirSyncedOnSegmentLifecycle(t *testing.T) {
 	before := calls
 	start := s.w.segNum
 	for i := 0; calls == before && i < 64; i++ {
-		if _, err := s.Submit(fmt.Sprintf("sync%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := submit(s, fmt.Sprintf("sync%d", i), "", 4, testPairs(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,7 +450,7 @@ func TestDirSyncedOnSegmentLifecycle(t *testing.T) {
 	s.w.syncDir = func(string) error { return fmt.Errorf("boom") }
 	var rotateErr error
 	for i := 0; i < 64; i++ {
-		if _, err := s.Submit(fmt.Sprintf("fail%d", i), "", 4, testPairs(4)); err != nil {
+		if _, err := submit(s, fmt.Sprintf("fail%d", i), "", 4, testPairs(4)); err != nil {
 			rotateErr = err
 			break
 		}
@@ -478,13 +485,12 @@ func TestOpenSyncsDirOnFirstSegment(t *testing.T) {
 func TestTenantOwnershipSurvivesReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)
-	if _, err := s.SubmitOwned("t1", "", "acme", 2, testPairs(2)); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"t1", "t2"} {
+		if _, err := s.Submit(SubmitRecord{ID: id, Tenant: "acme", ChunkSize: 2, Pairs: testPairs(2)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.SubmitOwned("t2", "", "acme", 2, testPairs(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit("t3", "", 2, testPairs(2)); err != nil {
+	if _, err := submit(s, "t3", "", 2, testPairs(2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ActiveByTenant("acme"); got != 2 {
@@ -497,7 +503,7 @@ func TestTenantOwnershipSurvivesReplay(t *testing.T) {
 	if _, err := s.SetState("t1", StateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddChunk("t1", 0, []int{1, 1}); err != nil {
+	if err := s.AddChunk("t1", 0, scores(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SetState("t1", StateDone, ""); err != nil {

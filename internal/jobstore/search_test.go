@@ -28,6 +28,11 @@ func openTestStore(t *testing.T, dir string) *Store {
 	return s
 }
 
+// submitSearch persists a search job.
+func submitSearch(s *Store, id, key, tenant string, chunkSize int, spec SearchSpec) (*Job, error) {
+	return s.Submit(SubmitRecord{ID: id, Key: key, Tenant: tenant, Kind: KindSearch, ChunkSize: chunkSize, Search: &spec})
+}
+
 func TestSubmitSearchValidation(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	bad := []SearchSpec{
@@ -38,15 +43,24 @@ func TestSubmitSearchValidation(t *testing.T) {
 		{Query: "ACGT", TopK: 3, SeqCount: 10},       // no corpus
 	}
 	for i, sp := range bad {
-		if _, err := s.SubmitSearch("job-x", "", "", 4, sp); err == nil {
+		if _, err := submitSearch(s, "job-x", "", "", 4, sp); err == nil {
 			t.Errorf("spec %d: want error", i)
 		}
 	}
-	if _, err := s.SubmitSearch("job-x", "", "", 0, testSpec()); err == nil {
+	if _, err := submitSearch(s, "job-x", "", "", 0, testSpec()); err == nil {
 		t.Error("zero chunk size: want error")
 	}
-	if _, err := s.SubmitSearch("", "", "", 4, testSpec()); err == nil {
+	if _, err := submitSearch(s, "", "", "", 4, testSpec()); err == nil {
 		t.Error("empty id: want error")
+	}
+	if _, err := s.Submit(SubmitRecord{ID: "job-x", Kind: KindSearch, ChunkSize: 4}); err == nil {
+		t.Error("search submit without a spec: want error")
+	}
+	if _, err := s.Submit(SubmitRecord{ID: "job-x", ChunkSize: 4}); err == nil {
+		t.Error("alignment submit without pairs: want error")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("rejected submits left %d jobs", s.Len())
 	}
 }
 
@@ -54,7 +68,7 @@ func TestSearchJobLifecycleAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
 	spec := testSpec()
-	j, err := s.SubmitSearch("job-s", "key-s", "acme", 4, spec)
+	j, err := submitSearch(s, "job-s", "key-s", "acme", 4, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,19 +79,15 @@ func TestSearchJobLifecycleAndReplay(t *testing.T) {
 		t.Fatalf("chunk 2 bounds [%d,%d), want [8,10)", lo, hi)
 	}
 
-	// Kind confusion is typed.
-	if err := s.AddChunk("job-s", 0, []int{1, 2, 3, 4}); !errors.Is(err, ErrWrongKind) {
-		t.Errorf("AddChunk on search job: %v, want ErrWrongKind", err)
-	}
-	if _, err := j.Scores(); !errors.Is(err, ErrWrongKind) {
-		t.Errorf("Scores on search job: %v, want ErrWrongKind", err)
-	}
-
-	if err := s.AddSearchChunk("job-s", 0, nil); !errors.Is(err, ErrBadTransition) {
+	if err := s.AddChunk("job-s", 0, Checkpoint{}); !errors.Is(err, ErrBadTransition) {
 		t.Errorf("checkpoint while queued: %v, want ErrBadTransition", err)
 	}
 	if _, err := s.SetState("job-s", StateRunning, ""); err != nil {
 		t.Fatal(err)
+	}
+	// A checkpoint of the other kind is rejected.
+	if err := s.AddChunk("job-s", 0, Checkpoint{Scores: []int{1, 2, 3, 4}}); err == nil {
+		t.Error("scores on a search job: want error")
 	}
 	chunks := map[int][]HitData{
 		0: {{ID: 1, Name: "a", Score: 9}, {ID: 3, Name: "b", Score: 9}},
@@ -85,17 +95,17 @@ func TestSearchJobLifecycleAndReplay(t *testing.T) {
 		2: {{ID: 8, Name: "c", Score: 12}},
 	}
 	for idx, hits := range chunks {
-		if err := s.AddSearchChunk("job-s", idx, hits); err != nil {
+		if err := s.AddChunk("job-s", idx, Checkpoint{Hits: hits}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.AddSearchChunk("job-s", 1, nil); !errors.Is(err, ErrDuplicateChunk) {
+	if err := s.AddChunk("job-s", 1, Checkpoint{}); !errors.Is(err, ErrDuplicateChunk) {
 		t.Errorf("duplicate chunk: %v, want ErrDuplicateChunk", err)
 	}
-	if err := s.AddSearchChunk("job-s", 3, nil); err == nil {
+	if err := s.AddChunk("job-s", 3, Checkpoint{}); err == nil {
 		t.Error("out-of-range chunk: want error")
 	}
-	if err := s.AddSearchChunk("job-s", 0, make([]HitData, 4)); !errors.Is(err, ErrDuplicateChunk) {
+	if err := s.AddChunk("job-s", 0, Checkpoint{Hits: make([]HitData, 4)}); !errors.Is(err, ErrDuplicateChunk) {
 		// (dup wins over the over-top-k check; both are rejections)
 		t.Errorf("oversized dup chunk: %v", err)
 	}
@@ -103,17 +113,19 @@ func TestSearchJobLifecycleAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := []HitData{{ID: 8, Name: "c", Score: 12}, {ID: 1, Name: "a", Score: 9}, {ID: 3, Name: "b", Score: 9}}
+	// The result is the union of the chunk top-Ks in chunk order; the job
+	// manager ranks it.
+	want := Checkpoint{Hits: []HitData{{ID: 1, Name: "a", Score: 9}, {ID: 3, Name: "b", Score: 9}, {ID: 8, Name: "c", Score: 12}}}
 	got, _ := s.Get("job-s")
 	if got.ChunksDone() != 3 {
 		t.Fatalf("ChunksDone = %d, want 3", got.ChunksDone())
 	}
-	hits, err := got.SearchHits()
+	res, err := got.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(hits, want) {
-		t.Fatalf("merged hits %v, want %v", hits, want)
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("merged result %+v, want %+v", res, want)
 	}
 
 	// Replay: reopen and check everything — including the empty chunk 1
@@ -127,34 +139,36 @@ func TestSearchJobLifecycleAndReplay(t *testing.T) {
 	if re.Kind != KindSearch || !reflect.DeepEqual(re.Search, &spec) || re.Tenant != "acme" {
 		t.Fatalf("replayed job: kind=%q tenant=%q spec=%+v", re.Kind, re.Tenant, re.Search)
 	}
-	if h, ok := re.SearchChunks[1]; !ok || len(h) != 0 {
-		t.Fatalf("empty chunk checkpoint lost on replay: %v ok=%v", h, ok)
+	if ck, ok := re.Chunks[1]; !ok || len(ck.Hits) != 0 {
+		t.Fatalf("empty chunk checkpoint lost on replay: %+v ok=%v", ck, ok)
 	}
-	rehits, err := re.SearchHits()
+	reres, err := re.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rehits, want) {
-		t.Fatalf("replayed hits %v, want %v", rehits, want)
+	if !reflect.DeepEqual(reres, want) {
+		t.Fatalf("replayed result %+v, want %+v", reres, want)
 	}
 }
 
 func TestSearchHitsMissingChunk(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
-	if _, err := s.SubmitSearch("job-m", "", "", 4, testSpec()); err != nil {
+	if _, err := submitSearch(s, "job-m", "", "", 4, testSpec()); err != nil {
 		t.Fatal(err)
 	}
 	j, _ := s.Get("job-m")
-	if _, err := j.SearchHits(); err == nil {
-		t.Error("SearchHits with no checkpoints: want error")
+	if _, err := j.Result(); err == nil {
+		t.Error("Result with no checkpoints: want error")
 	}
-	// And the wrong-kind direction: SearchHits on an alignment job.
-	if _, err := s.Submit("job-a", "", 2, []PairData{{X: "AC", Y: "GT"}}); err != nil {
+	// And hits on an alignment job are rejected, even beside its scores.
+	if _, err := submit(s, "job-a", "", 2, []PairData{{X: "AC", Y: "GT"}}); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := s.Get("job-a")
-	if _, err := a.SearchHits(); !errors.Is(err, ErrWrongKind) {
-		t.Errorf("SearchHits on alignment job: %v, want ErrWrongKind", err)
+	if _, err := s.SetState("job-a", StateRunning, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddChunk("job-a", 0, Checkpoint{Scores: []int{4}, Hits: []HitData{{ID: 1}}}); err == nil {
+		t.Error("hits on an alignment job: want error")
 	}
 }
 

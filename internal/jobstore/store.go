@@ -95,9 +95,9 @@ func validTransition(from, to State) bool {
 }
 
 // Job is the durable view of one async job, rebuilt from the WAL on
-// every open. Alignment jobs (Kind "") carry Pairs and checkpoint scores
-// into Chunks; search jobs (KindSearch) carry a SearchSpec and
-// checkpoint per-chunk top-K hits into SearchChunks.
+// every open. Alignment jobs (Kind "") carry Pairs and checkpoint each
+// chunk's scores; search jobs (KindSearch) carry a SearchSpec and
+// checkpoint each chunk's top-K hits.
 type Job struct {
 	ID        string
 	Key       string // idempotency key ("" when the client sent none)
@@ -108,14 +108,19 @@ type Job struct {
 	ChunkSize int
 	Pairs     []PairData
 	Search    *SearchSpec
-	Chunks    map[int][]int
-	// SearchChunks holds the checkpointed per-chunk top-K hits of a
-	// search job by chunk index (present-but-empty is a legitimate
-	// checkpoint: no candidate fell in the chunk's ID range).
-	SearchChunks map[int][]HitData
-	SubmitSeq    uint64    // WAL sequence of the submit record: FIFO order
-	Created      time.Time // submit record timestamp
-	Updated      time.Time // timestamp of the job's latest record
+	// Chunks holds the checkpoints by chunk index. A present but empty
+	// search checkpoint is legitimate: no candidate fell in its ID range.
+	Chunks    map[int]Checkpoint
+	SubmitSeq uint64    // WAL sequence of the submit record: FIFO order
+	Created   time.Time // submit record timestamp
+	Updated   time.Time // timestamp of the job's latest record
+}
+
+// Checkpoint is what one completed chunk holds: an alignment chunk's exact
+// scores, one per pair, or a search chunk's top-K hits.
+type Checkpoint struct {
+	Scores []int
+	Hits   []HitData
 }
 
 // units is how many items the job chunks over: pairs for alignment,
@@ -140,70 +145,36 @@ func (j *Job) ChunkBounds(idx int) (lo, hi int) {
 	return lo, hi
 }
 
-// ChunksDone counts checkpointed chunks of either kind.
-func (j *Job) ChunksDone() int { return len(j.Chunks) + len(j.SearchChunks) }
+// ChunksDone counts checkpointed chunks.
+func (j *Job) ChunksDone() int { return len(j.Chunks) }
 
-// Scores assembles an alignment job's final score slice from the chunk
-// checkpoints, failing if any chunk is missing or misshapen.
-func (j *Job) Scores() ([]int, error) {
-	if j.Kind == KindSearch {
-		return nil, fmt.Errorf("%w: job %s is a search job", ErrWrongKind, j.ID)
-	}
-	out := make([]int, 0, len(j.Pairs))
+// Result concatenates the checkpoints in chunk order: an alignment job's
+// scores, one per pair, or the union of a search job's per-chunk top-K
+// hits, which the caller ranks. It fails if any chunk is missing or the
+// scores do not cover the pairs.
+func (j *Job) Result() (Checkpoint, error) {
+	var out Checkpoint
 	for c := 0; c < j.NumChunks(); c++ {
-		lo, hi := j.ChunkBounds(c)
-		scores, ok := j.Chunks[c]
+		ck, ok := j.Chunks[c]
 		if !ok {
-			return nil, fmt.Errorf("jobstore: job %s: chunk %d not checkpointed", j.ID, c)
+			return Checkpoint{}, fmt.Errorf("jobstore: job %s: chunk %d not checkpointed", j.ID, c)
 		}
-		if len(scores) != hi-lo {
-			return nil, fmt.Errorf("jobstore: job %s: chunk %d has %d scores, want %d",
-				j.ID, c, len(scores), hi-lo)
-		}
-		out = append(out, scores...)
+		out.Scores = append(out.Scores, ck.Scores...)
+		out.Hits = append(out.Hits, ck.Hits...)
+	}
+	if j.Kind == "" && len(out.Scores) != len(j.Pairs) {
+		return Checkpoint{}, fmt.Errorf("jobstore: job %s: %d scores for %d pairs", j.ID, len(out.Scores), len(j.Pairs))
 	}
 	return out, nil
 }
 
-// SearchHits merges a search job's per-chunk checkpoints into the final
-// ranked top-K (score descending, then ID ascending — the same total
-// order the searcher uses, so the merge is byte-identical to an
-// uninterrupted search). Fails if any chunk is missing.
-func (j *Job) SearchHits() ([]HitData, error) {
-	if j.Kind != KindSearch {
-		return nil, fmt.Errorf("%w: job %s is an alignment job", ErrWrongKind, j.ID)
-	}
-	var union []HitData
-	for c := 0; c < j.NumChunks(); c++ {
-		hits, ok := j.SearchChunks[c]
-		if !ok {
-			return nil, fmt.Errorf("jobstore: job %s: chunk %d not checkpointed", j.ID, c)
-		}
-		union = append(union, hits...)
-	}
-	sort.Slice(union, func(a, b int) bool {
-		if union[a].Score != union[b].Score {
-			return union[a].Score > union[b].Score
-		}
-		return union[a].ID < union[b].ID
-	})
-	if len(union) > j.Search.TopK {
-		union = union[:j.Search.TopK]
-	}
-	return union, nil
-}
-
-// clone snapshots the job for readers. Pairs and per-chunk slices are
-// shared (append-only once written), the chunk maps are copied.
+// clone snapshots the job for readers. Pairs and checkpoint slices are
+// shared (append-only once written), the chunk map is copied.
 func (j *Job) clone() *Job {
 	c := *j
-	c.Chunks = make(map[int][]int, len(j.Chunks))
+	c.Chunks = make(map[int]Checkpoint, len(j.Chunks))
 	for k, v := range j.Chunks {
 		c.Chunks[k] = v
-	}
-	c.SearchChunks = make(map[int][]HitData, len(j.SearchChunks))
-	for k, v := range j.SearchChunks {
-		c.SearchChunks[k] = v
 	}
 	return &c
 }
@@ -218,10 +189,6 @@ var (
 	// ErrDuplicateChunk is returned when a chunk index is checkpointed
 	// twice — the signature of duplicate chunk execution.
 	ErrDuplicateChunk = errors.New("jobstore: chunk already checkpointed")
-	// ErrWrongKind is returned when a kind-specific accessor or
-	// checkpoint is used on a job of the other kind (e.g. Scores on a
-	// search job).
-	ErrWrongKind = errors.New("jobstore: wrong job kind")
 )
 
 // Options configures Open.
@@ -367,19 +334,18 @@ func (s *Store) apply(rec Record) {
 	case RecSubmit:
 		sub := rec.Submit
 		j := &Job{
-			ID:           sub.ID,
-			Key:          sub.Key,
-			Tenant:       sub.Tenant,
-			Kind:         sub.Kind,
-			State:        StateQueued,
-			ChunkSize:    sub.ChunkSize,
-			Pairs:        sub.Pairs,
-			Search:       sub.Search,
-			Chunks:       make(map[int][]int),
-			SearchChunks: make(map[int][]HitData),
-			SubmitSeq:    rec.Seq,
-			Created:      t,
-			Updated:      t,
+			ID:        sub.ID,
+			Key:       sub.Key,
+			Tenant:    sub.Tenant,
+			Kind:      sub.Kind,
+			State:     StateQueued,
+			ChunkSize: sub.ChunkSize,
+			Pairs:     sub.Pairs,
+			Search:    sub.Search,
+			Chunks:    make(map[int]Checkpoint),
+			SubmitSeq: rec.Seq,
+			Created:   t,
+			Updated:   t,
 		}
 		s.jobs[sub.ID] = j
 		if sub.Key != "" {
@@ -393,15 +359,7 @@ func (s *Store) apply(rec Record) {
 		}
 	case RecChunk:
 		if j, ok := s.jobs[rec.Chunk.ID]; ok {
-			if rec.Chunk.Search {
-				hits := rec.Chunk.Hits
-				if hits == nil {
-					hits = []HitData{}
-				}
-				j.SearchChunks[rec.Chunk.Index] = hits
-			} else {
-				j.Chunks[rec.Chunk.Index] = rec.Chunk.Scores
-			}
+			j.Chunks[rec.Chunk.Index] = Checkpoint{Scores: rec.Chunk.Scores, Hits: rec.Chunk.Hits}
 			j.Updated = t
 		}
 	case RecDrop:
@@ -414,11 +372,16 @@ func (s *Store) apply(rec Record) {
 	}
 }
 
-// appendLocked persists one record and folds it into memory. Caller holds
-// s.mu and has validated the mutation.
+// appendLocked checks one record against the WAL's own invariants
+// (Record.validate, the check replay applies), persists it and folds it
+// into memory. Caller holds s.mu and has checked the mutation against the
+// job's state.
 func (s *Store) appendLocked(rec Record) error {
 	if !s.open {
 		return errors.New("jobstore: store closed")
+	}
+	if err := rec.validate(); err != nil {
+		return fmt.Errorf("jobstore: invalid %s record: %w", rec.Type, err)
 	}
 	s.seq++
 	rec.Seq = s.seq
@@ -431,55 +394,22 @@ func (s *Store) appendLocked(rec Record) error {
 	return nil
 }
 
-// Submit persists a new job in StateQueued owned by the anonymous tenant.
-// The ID must be unused.
-func (s *Store) Submit(id, key string, chunkSize int, pairs []PairData) (*Job, error) {
-	return s.SubmitOwned(id, key, "", chunkSize, pairs)
-}
-
-// SubmitOwned persists a new job in StateQueued owned by a tenant. The
-// tenant ID is written to the WAL, so ownership (and any per-tenant
-// running-job quota derived from it) survives replay.
-func (s *Store) SubmitOwned(id, key, tenant string, chunkSize int, pairs []PairData) (*Job, error) {
-	if id == "" || chunkSize <= 0 || len(pairs) == 0 {
-		return nil, fmt.Errorf("jobstore: submit needs id, positive chunk size and pairs")
-	}
+// Submit persists a new job in StateQueued. The record carries an unused
+// ID, a positive chunk size and either pairs (an alignment job) or, with
+// Kind KindSearch, a fully resolved search spec, so a replayed job
+// re-derives exactly what was submitted. The owning tenant is written to
+// the WAL too, so ownership (and any per-tenant running-job quota derived
+// from it) survives replay.
+func (s *Store) Submit(sub SubmitRecord) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.jobs[id]; exists {
-		return nil, fmt.Errorf("jobstore: job %s already exists", id)
+	if _, exists := s.jobs[sub.ID]; exists {
+		return nil, fmt.Errorf("jobstore: job %s already exists", sub.ID)
 	}
-	err := s.appendLocked(Record{Type: RecSubmit,
-		Submit: &SubmitRecord{ID: id, Key: key, Tenant: tenant, ChunkSize: chunkSize, Pairs: pairs}})
-	if err != nil {
+	if err := s.appendLocked(Record{Type: RecSubmit, Submit: &sub}); err != nil {
 		return nil, err
 	}
-	return s.jobs[id].clone(), nil
-}
-
-// SubmitSearch persists a new corpus-search job in StateQueued. The spec
-// must arrive fully resolved (positive TopK and SeqCount, corpus name,
-// fingerprint and query set) so a replayed job re-derives the exact same
-// candidate set; ChunkSize divides the corpus sequence-ID space.
-func (s *Store) SubmitSearch(id, key, tenant string, chunkSize int, spec SearchSpec) (*Job, error) {
-	if id == "" || chunkSize <= 0 {
-		return nil, fmt.Errorf("jobstore: search submit needs id and positive chunk size")
-	}
-	if spec.Corpus == "" || spec.Query == "" || spec.SeqCount <= 0 || spec.TopK <= 0 {
-		return nil, fmt.Errorf("jobstore: search submit needs corpus, query, positive seq count and top-k")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.jobs[id]; exists {
-		return nil, fmt.Errorf("jobstore: job %s already exists", id)
-	}
-	sp := spec
-	err := s.appendLocked(Record{Type: RecSubmit,
-		Submit: &SubmitRecord{ID: id, Key: key, Tenant: tenant, Kind: KindSearch, ChunkSize: chunkSize, Search: &sp}})
-	if err != nil {
-		return nil, err
-	}
-	return s.jobs[id].clone(), nil
+	return s.jobs[sub.ID].clone(), nil
 }
 
 // SetState transitions a job, returning its previous state (for callers
@@ -501,18 +431,17 @@ func (s *Store) SetState(id string, to State, errMsg string) (prev State, err er
 	return prev, err
 }
 
-// AddChunk checkpoints chunk idx of a running job. Checkpointing the same
-// index twice fails with ErrDuplicateChunk — re-executing a checkpointed
-// chunk is a bug, and the log is the proof.
-func (s *Store) AddChunk(id string, idx int, scores []int) error {
+// AddChunk checkpoints chunk idx of a running job: an alignment chunk's
+// scores, one per pair of the chunk, or a search chunk's hits, at most
+// top-k and possibly none. Checkpointing the same index twice fails with
+// ErrDuplicateChunk — re-executing a checkpointed chunk is a bug, and the
+// log is the proof.
+func (s *Store) AddChunk(id string, idx int, ck Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if j.Kind != "" {
-		return fmt.Errorf("%w: job %s is a %s job", ErrWrongKind, id, j.Kind)
 	}
 	if j.State != StateRunning {
 		return fmt.Errorf("%w: %s: chunk checkpoint in state %s", ErrBadTransition, id, j.State)
@@ -523,42 +452,16 @@ func (s *Store) AddChunk(id string, idx int, scores []int) error {
 	if _, dup := j.Chunks[idx]; dup {
 		return fmt.Errorf("%w: job %s chunk %d", ErrDuplicateChunk, id, idx)
 	}
-	lo, hi := j.ChunkBounds(idx)
-	if len(scores) != hi-lo {
-		return fmt.Errorf("jobstore: job %s: chunk %d got %d scores, want %d", id, idx, len(scores), hi-lo)
+	search := j.Kind == KindSearch
+	if lo, hi := j.ChunkBounds(idx); !search && len(ck.Scores) != hi-lo {
+		return fmt.Errorf("jobstore: job %s: chunk %d got %d scores, want %d", id, idx, len(ck.Scores), hi-lo)
 	}
+	if search && len(ck.Hits) > j.Search.TopK {
+		return fmt.Errorf("jobstore: job %s: chunk %d got %d hits, top-k is %d", id, idx, len(ck.Hits), j.Search.TopK)
+	}
+	// Record.validate rejects the payload of the other kind.
 	return s.appendLocked(Record{Type: RecChunk,
-		Chunk: &ChunkRecord{ID: id, Index: idx, Scores: scores}})
-}
-
-// AddSearchChunk checkpoints chunk idx of a running search job with the
-// chunk's top-K hits (possibly empty). Like AddChunk, checkpointing the
-// same index twice fails with ErrDuplicateChunk — re-executing a
-// checkpointed chunk is a bug, and the log is the proof.
-func (s *Store) AddSearchChunk(id string, idx int, hits []HitData) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if j.Kind != KindSearch {
-		return fmt.Errorf("%w: job %s is an alignment job", ErrWrongKind, id)
-	}
-	if j.State != StateRunning {
-		return fmt.Errorf("%w: %s: chunk checkpoint in state %s", ErrBadTransition, id, j.State)
-	}
-	if idx < 0 || idx >= j.NumChunks() {
-		return fmt.Errorf("jobstore: job %s: chunk index %d out of range [0,%d)", id, idx, j.NumChunks())
-	}
-	if _, dup := j.SearchChunks[idx]; dup {
-		return fmt.Errorf("%w: job %s chunk %d", ErrDuplicateChunk, id, idx)
-	}
-	if len(hits) > j.Search.TopK {
-		return fmt.Errorf("jobstore: job %s: chunk %d got %d hits, top-k is %d", id, idx, len(hits), j.Search.TopK)
-	}
-	return s.appendLocked(Record{Type: RecChunk,
-		Chunk: &ChunkRecord{ID: id, Index: idx, Search: true, Hits: hits}})
+		Chunk: &ChunkRecord{ID: id, Index: idx, Scores: ck.Scores, Search: search, Hits: ck.Hits}})
 }
 
 // Drop garbage-collects a terminal job.

@@ -1,5 +1,6 @@
 // Package jobstore persists the async job subsystem's state machine in an
-// append-only write-ahead log so alignment jobs survive process crashes.
+// append-only write-ahead log so jobs of both kinds, alignment and corpus
+// search, survive process crashes.
 //
 // The log is a directory of JSON-lines segments (wal-00000001.log, …). Each
 // record is one line of the form
@@ -41,11 +42,12 @@ import (
 type RecordType string
 
 const (
-	// RecSubmit introduces a job: id, idempotency key, chunk size, pairs.
+	// RecSubmit introduces a job: id, idempotency key, chunk size, and
+	// pairs or a search spec.
 	RecSubmit RecordType = "submit"
 	// RecState transitions a job's state.
 	RecState RecordType = "state"
-	// RecChunk checkpoints one completed chunk's scores.
+	// RecChunk checkpoints one completed chunk's scores or hits.
 	RecChunk RecordType = "chunk"
 	// RecDrop removes a terminal job (TTL garbage collection).
 	RecDrop RecordType = "drop"

@@ -1,12 +1,12 @@
-// Async job endpoints: the durable counterpart of POST /align. A batch
-// submitted to POST /jobs is persisted to the WAL-backed job store before
-// the 202 goes out, executed chunk by chunk in the background, and survives
-// crashes and restarts — clients poll GET /jobs/{id}, stream progress from
-// GET /jobs/{id}/events (Server-Sent Events), and fetch scores from
-// GET /jobs/{id}/result when the job reaches "done". Every route is
-// tenant-scoped: jobs belong to the tenant that submitted them, and another
-// tenant's credentials see 404, not 403 — existence is tenant-private. The
-// endpoints are mounted only when Config.Jobs is set.
+// Async job endpoints: the durable counterpart of POST /align and POST
+// /search. A job submitted to POST /jobs is persisted to the WAL-backed job
+// store before the 202 goes out, executed chunk by chunk in the background,
+// and survives crashes and restarts — clients poll GET /jobs/{id}, stream
+// progress from GET /jobs/{id}/events (Server-Sent Events), and fetch scores
+// or hits from GET /jobs/{id}/result when the job reaches "done". Every
+// route is tenant-scoped: jobs belong to the tenant that submitted them, and
+// another tenant's credentials see 404, not 403 — existence is
+// tenant-private. The endpoints are mounted only when Config.Jobs is set.
 
 package server
 
@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/alignsvc"
 	"repro/internal/corpus"
-	"repro/internal/dna"
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
@@ -69,18 +68,11 @@ type SearchJobResultResponse struct {
 	Hits []corpus.Hit  `json:"hits"`
 }
 
-// jobSubmission is the parsed POST /jobs body, one of two kinds.
+// jobSubmission is the parsed POST /jobs body.
 type jobSubmission struct {
-	key string
-
-	// Alignment.
-	pairs []dna.Pair
-
-	// Search (search == true).
-	search bool
-	handle *corpus.Handle
-	query  dna.Seq
-	params corpus.Params
+	key    string
+	req    jobs.Request
+	handle *corpus.Handle // the searched corpus, for search jobs
 }
 
 // handleJobs serves POST /jobs: resolve the tenant, validate, charge the
@@ -108,23 +100,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// cannot dodge its rate limits by submitting jobs instead. Search
 	// jobs charge their post-prefilter candidate cells, like /search.
 	if !s.charge(w, r, t, func() int64 {
-		if sub.search {
-			cand := sub.handle.Corpus.Prefilter(sub.query, sub.params)
-			return candidateCells(sub.handle.Corpus, len(sub.query), cand)
+		if q := sub.req.Search; q != nil {
+			cand := sub.handle.Corpus.Prefilter(q.Query, q.Params)
+			return candidateCells(sub.handle.Corpus, len(q.Query), cand)
 		}
-		return alignsvc.Cells(sub.pairs)
+		return alignsvc.Cells(sub.req.Pairs)
 	}) {
 		return
 	}
-	var (
-		snap    jobs.Snapshot
-		created bool
-	)
-	if sub.search {
-		snap, created, err = s.cfg.Jobs.SubmitSearchFor(sub.handle.Name, sub.query, sub.params, sub.key, t.ID)
-	} else {
-		snap, created, err = s.cfg.Jobs.SubmitFor(sub.pairs, sub.key, t.ID)
-	}
+	snap, created, err := s.cfg.Jobs.SubmitFor(sub.req, sub.key, t.ID)
 	switch {
 	case errors.Is(err, jobs.ErrQuota):
 		s.sched.NoteQuotaRejected(t.ID)
@@ -196,55 +180,28 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobResult answers with the assembled scores of a done job — or,
-// for a search job, its merged ranked hits — or a typed error explaining
+// handleJobResult answers with the assembled scores of a done alignment
+// job or the ranked hits of a done search job, or a typed error explaining
 // why there are none (yet, or ever).
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id, tenantID string) {
-	scores, snap, err := s.cfg.Jobs.ResultFor(id, tenantID)
-	if errors.Is(err, jobs.ErrWrongKind) {
-		s.handleSearchJobResult(w, r, id, tenantID)
-		return
-	}
-	if err != nil {
+	res, err := s.cfg.Jobs.ResultFor(id, tenantID)
+	switch {
+	case err != nil:
 		s.writeJobError(w, r, err)
-		return
-	}
-	if scores == nil {
-		// Terminal without a result: failed or cancelled.
-		if snap.Error != "" {
-			s.writeError(w, r, http.StatusConflict, CodeJobFailed,
-				fmt.Sprintf("job %s failed: %s", id, snap.Error))
-		} else {
-			s.writeError(w, r, http.StatusConflict, CodeJobCancelled,
-				fmt.Sprintf("job %s was cancelled", id))
+	case res.Job.State == jobstore.StateFailed:
+		s.writeError(w, r, http.StatusConflict, CodeJobFailed,
+			fmt.Sprintf("job %s failed: %s", id, res.Job.Error))
+	case res.Job.State == jobstore.StateCancelled:
+		s.writeError(w, r, http.StatusConflict, CodeJobCancelled,
+			fmt.Sprintf("job %s was cancelled", id))
+	case res.Job.Kind == jobstore.KindSearch:
+		if res.Hits == nil {
+			res.Hits = []corpus.Hit{} // JSON renders hits as a list, never null
 		}
-		return
+		writeJSON(w, http.StatusOK, SearchJobResultResponse{Job: res.Job, Hits: res.Hits})
+	default:
+		writeJSON(w, http.StatusOK, JobResultResponse{Job: res.Job, Scores: res.Scores})
 	}
-	writeJSON(w, http.StatusOK, JobResultResponse{Job: snap, Scores: scores})
-}
-
-// handleSearchJobResult is handleJobResult for kind "search": same
-// terminal-state mapping, hits instead of scores.
-func (s *Server) handleSearchJobResult(w http.ResponseWriter, r *http.Request, id, tenantID string) {
-	hits, snap, err := s.cfg.Jobs.SearchResultFor(id, tenantID)
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	if hits == nil && snap.State.Terminal() && snap.State != jobstore.StateDone {
-		if snap.Error != "" {
-			s.writeError(w, r, http.StatusConflict, CodeJobFailed,
-				fmt.Sprintf("job %s failed: %s", id, snap.Error))
-		} else {
-			s.writeError(w, r, http.StatusConflict, CodeJobCancelled,
-				fmt.Sprintf("job %s was cancelled", id))
-		}
-		return
-	}
-	if hits == nil {
-		hits = []corpus.Hit{}
-	}
-	writeJSON(w, http.StatusOK, SearchJobResultResponse{Job: snap, Hits: hits})
 }
 
 // handleJobEvents streams a job's progress feed as Server-Sent Events: a
@@ -348,10 +305,9 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (sub jo
 		if err != nil {
 			return sub, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("query: %w", err)
 		}
-		sub.search = true
 		sub.handle = h
-		sub.query = q
-		sub.params = corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits, MaxEdits: req.MaxEdits}
+		sub.req.Search = &jobs.Search{Corpus: h.Name, Query: q,
+			Params: corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits, MaxEdits: req.MaxEdits}}
 		return sub, 0, "", nil
 	case "":
 		// Alignment, below.
@@ -365,9 +321,9 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (sub jo
 		return sub, http.StatusBadRequest, CodeBadRequest,
 			errors.New("pairs and preset are mutually exclusive")
 	case req.Preset != "":
-		sub.pairs, status, code, err = s.presetPairs(AlignRequest{Preset: req.Preset, N: req.N})
+		sub.req.Pairs, status, code, err = s.presetPairs(AlignRequest{Preset: req.Preset, N: req.N})
 	case len(req.Pairs) > 0:
-		sub.pairs, status, code, err = s.parsePairs(req.Pairs)
+		sub.req.Pairs, status, code, err = s.parsePairs(req.Pairs)
 	default:
 		return sub, http.StatusBadRequest, CodeBadRequest,
 			errors.New("request needs pairs or preset")

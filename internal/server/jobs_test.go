@@ -373,7 +373,7 @@ func TestJobsAPIDrainRequeuesAndRefuses(t *testing.T) {
 	}
 	// Drain checkpointed and requeued the running job rather than losing or
 	// finishing it.
-	got, err := mgr.Get(snap.ID)
+	got, err := mgr.GetFor(snap.ID, "")
 	if err != nil || got.State != jobstore.StateQueued {
 		t.Fatalf("post-drain job: %+v err=%v", got, err)
 	}

@@ -195,6 +195,24 @@ func TestSearchJobOverHTTP(t *testing.T) {
 		t.Fatalf("job hits %v != /search hits %v", res.Hits, sync.Hits)
 	}
 
+	// A search without hits answers an empty list, never null.
+	none := strings.Repeat("A", len(q))
+	doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Query: none, TopK: 4}, &sync)
+	if len(sync.Hits) != 0 {
+		t.Fatalf("poly-A query found %d hits; the empty-result check needs none", len(sync.Hits))
+	}
+	resp = doJSON(t, http.MethodPost, ts.URL+"/jobs",
+		JobSubmitRequest{Kind: jobstore.KindSearch, Corpus: "ref", Query: none, TopK: 4}, &snap)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("empty-result submit status %d", resp.StatusCode)
+	}
+	pollJobDone(t, ts.URL, snap.ID, 15*time.Second)
+	var body map[string]json.RawMessage
+	doJSON(t, http.MethodGet, ts.URL+"/jobs/"+snap.ID+"/result", nil, &body)
+	if string(body["hits"]) != "[]" || body["scores"] != nil {
+		t.Fatalf("empty-result body: hits %s scores %s", body["hits"], body["scores"])
+	}
+
 	// Malformed search submissions are typed 4xx.
 	var errResp ErrorResponse
 	resp = doJSON(t, http.MethodPost, ts.URL+"/jobs",
