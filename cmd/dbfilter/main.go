@@ -8,14 +8,14 @@
 //	dbfilter -build -index ./idx [-db db.fasta | -synthetic 100000]   build the index
 //	dbfilter -index ./idx -query ACGT... [-topk 10] [-json]           ranked top-K search
 //
-// A search runs the two-stage query path: a k-mer posting-list prefilter
-// (-minhits, with a bitap edit-distance refinement bounded by -maxedits)
-// narrows the corpus, then the exact backend named by -search-backend
-// (default striped) scores the survivors and a bounded heap keeps the
-// top -topk. -minhits -1 disables the prefilter (exact brute force) —
-// useful as an oracle, since both modes return identical hits. When
-// -index names a directory without an index and a source (-db or
-// -synthetic) is given, the index is built first, then searched.
+// A search runs the one-stage query path: a k-mer posting-list prefilter
+// (-minhits) narrows the corpus, then the exact backend named by
+// -search-backend (default striped) scores the candidates and a bounded
+// heap keeps the top -topk. -minhits -1 disables the prefilter and scores
+// every sequence — the oracle to compare against, since the prefilter is
+// a heuristic that can miss a hit a full scan ranks. When -index names a
+// directory without an index and a source (-db or -synthetic) is given,
+// the index is built first, then searched.
 //
 // The legacy path (no -index) keeps the original BPBC bulk screening:
 // score every entry with the bitwise-parallel engine, keep entries whose
@@ -101,7 +101,6 @@ func main() {
 	kmer := flag.Int("k", 0, "index k-mer length when building (0 = default)")
 	topK := flag.Int("topk", 10, "ranked hits to return from an indexed search")
 	minHits := flag.Int("minhits", 0, "distinct query k-mers a sequence must share to pass the prefilter (0 = default, -1 = scan all)")
-	maxEdits := flag.Int("maxedits", 0, "bitap refinement edit budget (0 = default, -1 = disabled)")
 	searchBackend := flag.String("search-backend", alignsvc.BackendStriped,
 		"exact scoring backend for the indexed search")
 
@@ -141,8 +140,8 @@ func main() {
 	}
 
 	if *index != "" {
-		runIndexed(ctx, q, *index, *build, *kmer, *topK, *minHits, *maxEdits,
-			*searchBackend, *dbPath, *synthetic, *synLen, *plant, *seed, *asJSON)
+		runIndexed(ctx, q, *index, *build, *kmer, *topK, *minHits, *searchBackend,
+			*dbPath, *synthetic, *synLen, *plant, *seed, *asJSON)
 		return
 	}
 
@@ -268,7 +267,7 @@ func loadDatabase(q dna.Seq, dbPath string, synthetic, synLen int, plant float64
 
 // runIndexed is the corpus-index path: build and/or open the index, then
 // (unless -build) run a ranked top-K search and print the hits.
-func runIndexed(ctx context.Context, q dna.Seq, dir string, buildOnly bool, k, topK, minHits, maxEdits int,
+func runIndexed(ctx context.Context, q dna.Seq, dir string, buildOnly bool, k, topK, minHits int,
 	backendName, dbPath string, synthetic, synLen int, plant float64, seed uint64, asJSON bool) {
 	c, err := corpus.Open(dir)
 	switch {
@@ -315,7 +314,7 @@ func runIndexed(ctx context.Context, q dna.Seq, dir string, buildOnly bool, k, t
 		cli.Die(fmt.Errorf("dbfilter: -search-backend: %w", err))
 	}
 	s := corpus.NewSearcher(c, be, nil)
-	p := corpus.Params{TopK: topK, MinKmerHits: minHits, MaxEdits: maxEdits}
+	p := corpus.Params{TopK: topK, MinKmerHits: minHits}
 	start := time.Now()
 	res, err := s.Search(ctx, q, p)
 	cli.Check(err)

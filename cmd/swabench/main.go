@@ -166,8 +166,8 @@ func main() {
 		}
 		if f.Search != nil {
 			for _, r := range f.Search.Runs {
-				fmt.Printf("search k=%d kmer_rate=%.3f pass_rate=%.4f cands/query=%.1f wall_gcups=%.3f exact=%v\n",
-					r.K, r.KmerPassRate, r.PassRate, r.CandidatesPerQuery, r.WallGCUPS, r.ExactTopK)
+				fmt.Printf("search k=%d pass_rate=%.4f cands/query=%.1f wall_gcups=%.3f exact=%v\n",
+					r.K, r.PassRate, r.CandidatesPerQuery, r.WallGCUPS, r.ExactTopK)
 			}
 		}
 		if f.SpeedupStripedVsBitwiseSim > 0 {

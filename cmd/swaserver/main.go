@@ -31,8 +31,9 @@
 //
 // -corpus name=dir (repeatable) mounts reference corpora built with
 // dbfilter -build (or corpus.Build): POST /search answers ranked top-K
-// queries — a k-mer/bitap prefilter narrows the corpus, then the exact
-// Smith-Waterman backend named by -search-backend scores the survivors —
+// queries — a k-mer posting-list prefilter narrows the corpus, then the
+// exact Smith-Waterman backend named by -search-backend scores the
+// candidates —
 // and, combined with -data-dir, POST /jobs accepts kind "search" for
 // durable chunk-checkpointed searches (-search-chunk-size sequences per
 // checkpoint) that resume from the WAL after a crash. /statsz gains a

@@ -17,15 +17,13 @@ import (
 
 // SearchRun is one k-mer length of the corpus-search selectivity sweep:
 // the same synthetic corpus indexed at this k, queried with the same
-// query set, timed on the host clock. KmerPassRate is the stage-one
-// (posting-list) survivor fraction; PassRate is the final fraction that
-// reached SW scoring after the bitap refinement — the funnel the two
-// stages buy over scanning everything.
+// query set, timed on the host clock. PassRate is the fraction of the
+// corpus the k-mer prefilter passed to SW scoring — what the index buys
+// over scanning everything.
 type SearchRun struct {
 	K       int `json:"k"`
 	Queries int `json:"queries"`
 
-	KmerPassRate       float64 `json:"kmer_pass_rate"`
 	PassRate           float64 `json:"pass_rate"`
 	CandidatesPerQuery float64 `json:"candidates_per_query"`
 
@@ -133,7 +131,7 @@ func (f *File) CollectSearch(ctx context.Context, seqs int, ks []int, backendNam
 		s := corpus.NewSearcher(c, be, nil)
 
 		run := SearchRun{K: k, Queries: len(queries), ExactTopK: true}
-		var kmerSurvivors, candidates int64
+		var candidates int64
 		results := make([]*corpus.Result, len(queries))
 		begin := time.Now()
 		for i, q := range queries {
@@ -150,11 +148,10 @@ func (f *File) CollectSearch(ctx context.Context, seqs int, ks []int, backendNam
 		// prefiltered search and must not pollute its wall clock.
 		for i, q := range queries {
 			res := results[i]
-			kmerSurvivors += int64(res.Stats.KmerCandidates)
 			candidates += int64(res.Stats.Candidates)
 			run.ScoredCells += res.Stats.Cells
 			run.BruteCells += res.Stats.BruteCells
-			brute, err := s.Search(ctx, q, corpus.Params{TopK: searchTopK, MinKmerHits: -1, MaxEdits: -1})
+			brute, err := s.Search(ctx, q, corpus.Params{TopK: searchTopK, MinKmerHits: -1})
 			if err != nil {
 				return fmt.Errorf("bench: search: k=%d brute query %d: %w", k, i, err)
 			}
@@ -163,7 +160,6 @@ func (f *File) CollectSearch(ctx context.Context, seqs int, ks []int, backendNam
 			}
 		}
 		nq := float64(len(queries))
-		run.KmerPassRate = float64(kmerSurvivors) / nq / float64(seqs)
 		run.PassRate = float64(candidates) / nq / float64(seqs)
 		run.CandidatesPerQuery = float64(candidates) / nq
 		run.WallNS = wall.Nanoseconds()
@@ -194,13 +190,8 @@ func (s *SearchSection) validate() error {
 		if r.Queries <= 0 {
 			return fmt.Errorf("bench: search run k=%d measured no queries", r.K)
 		}
-		if r.KmerPassRate < 0 || r.KmerPassRate > 1 || r.PassRate < 0 || r.PassRate > 1 {
-			return fmt.Errorf("bench: search run k=%d pass rates (%v kmer, %v final) out of [0, 1]",
-				r.K, r.KmerPassRate, r.PassRate)
-		}
-		if r.PassRate > r.KmerPassRate {
-			return fmt.Errorf("bench: search run k=%d final pass rate %v exceeds stage-one rate %v — the bitap stage cannot add candidates",
-				r.K, r.PassRate, r.KmerPassRate)
+		if r.PassRate < 0 || r.PassRate > 1 {
+			return fmt.Errorf("bench: search run k=%d pass rate %v out of [0, 1]", r.K, r.PassRate)
 		}
 		if r.ScoredCells <= 0 || r.BruteCells < r.ScoredCells {
 			return fmt.Errorf("bench: search run k=%d cell accounting inverted (scored %d, brute %d)",

@@ -143,26 +143,29 @@ func decodeIDs(s string, seqs int) ([]int32, error) {
 		return nil, fmt.Errorf("%w: bad posting base64: %v", ErrCorrupt, err)
 	}
 	var ids []int32
-	prev := int32(-1)
+	prev := int64(-1)
 	for len(raw) > 0 {
 		d, n := binary.Uvarint(raw)
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: bad posting varint", ErrCorrupt)
 		}
 		raw = raw[n:]
-		var id int32
-		if prev < 0 {
-			id = int32(d)
-		} else {
-			id = prev + int32(d)
+		// Range-check the delta before adding it, in int64, so no
+		// corrupt delta can wrap back into range.
+		if d >= uint64(seqs) {
+			return nil, fmt.Errorf("%w: posting delta %d out of range [0,%d)", ErrCorrupt, d, seqs)
+		}
+		id := int64(d)
+		if prev >= 0 {
 			if d == 0 {
 				return nil, fmt.Errorf("%w: posting IDs not strictly ascending", ErrCorrupt)
 			}
+			id += prev
 		}
-		if id < 0 || int(id) >= seqs {
+		if id >= int64(seqs) {
 			return nil, fmt.Errorf("%w: posting ID %d out of range [0,%d)", ErrCorrupt, id, seqs)
 		}
-		ids = append(ids, id)
+		ids = append(ids, int32(id))
 		prev = id
 	}
 	return ids, nil

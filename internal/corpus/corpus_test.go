@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -380,7 +382,7 @@ func TestSearchCandidates(t *testing.T) {
 		t.Fatalf("SearchCandidates over Prefilter:\n  got  %+v\n  want %+v", got, want)
 	}
 
-	subset := Candidates{IDs: []int32{3, 50, 77, 1999}, Prefiltered: true, KmerCandidates: 4}
+	subset := Candidates{IDs: []int32{3, 50, 77, 1999}, Prefiltered: true}
 	got, err = s.SearchCandidates(ctx, q, p, subset)
 	if err != nil {
 		t.Fatal(err)
@@ -459,5 +461,89 @@ func TestEncodeDecodeIDs(t *testing.T) {
 	}
 	if _, err := decodeIDs(encodeIDs([]int32{5, 9}), 8); !errors.Is(err, ErrCorrupt) {
 		t.Error("out-of-range ID: want ErrCorrupt")
+	}
+	// Varints that only land in range after wrapping at 32 bits: a first
+	// ID of 2^32+3, and 3 followed by a delta of 2^32+2 (int32 arithmetic
+	// read both as in-range IDs 3 and 5).
+	varints := func(vs ...uint64) string {
+		var raw []byte
+		for _, v := range vs {
+			raw = binary.AppendUvarint(raw, v)
+		}
+		return base64.StdEncoding.EncodeToString(raw)
+	}
+	for _, tc := range []struct {
+		name string
+		vs   []uint64
+	}{
+		{"wrapped first ID", []uint64{1<<32 + 3}},
+		{"wrapped delta", []uint64{3, 1<<32 + 2}},
+	} {
+		if ids, err := decodeIDs(varints(tc.vs...), 8); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decoded %v, err %v; want ErrCorrupt", tc.name, ids, err)
+		}
+	}
+}
+
+// TestPrefilterIsKmerStage pins the prefilter to one rule for every
+// query length: a sequence is a candidate exactly when it shares at least
+// min(MinKmerHits, distinct query k-mers) of the query's distinct k-mers.
+// Queries run from k to 120 bases, on both sides of 64, and half of them
+// are mutated windows of corpus sequences so candidate sets are not empty.
+func TestPrefilterIsKmerStage(t *testing.T) {
+	c := buildSmall(t, t.TempDir(), 200, IndexOptions{})
+	k := c.K()
+	kmers := func(s dna.Seq) map[string]bool {
+		set := map[string]bool{}
+		for i := 0; i+k <= len(s); i++ {
+			set[s[i:i+k].String()] = true
+		}
+		return set
+	}
+	rng := rand.New(rand.NewPCG(17, 23))
+	mut := dna.MutationModel{SubRate: 0.1, InsRate: 0.02, DelRate: 0.02}
+	lens := []int{k, 63, 64, 65, 120}
+	for len(lens) < 60 {
+		lens = append(lens, k+rng.IntN(120-k+1))
+	}
+	nonEmpty := map[bool]int{} // by query length ≤ 64
+	for trial, qLen := range lens {
+		q := dna.RandSeq(rng, qLen)
+		if trial%2 == 1 {
+			src := c.Seq(rng.IntN(c.Len()))
+			for len(src) < qLen {
+				src = append(src.Clone(), src...)
+			}
+			at := rng.IntN(len(src) - qLen + 1)
+			q = mut.Mutate(rng, src[at:at+qLen])
+			q = append(q, dna.RandSeq(rng, max(0, k-len(q)))...)
+			q = q[:min(len(q), 120)]
+		}
+		p := Params{MinKmerHits: []int{0, 1, 2, 8}[trial%4]}
+		qk := kmers(q)
+		need := min(p.Resolved().MinKmerHits, len(qk))
+		var want []int32
+		for id := 0; id < c.Len(); id++ {
+			shared := 0
+			for km := range kmers(c.Seq(id)) {
+				if qk[km] {
+					shared++
+				}
+			}
+			if shared >= need {
+				want = append(want, int32(id))
+			}
+		}
+		got := c.Prefilter(q, p)
+		if !got.Prefiltered || !slices.Equal(got.IDs, want) {
+			t.Fatalf("trial %d (%d bases, min hits %d): prefiltered=%v IDs %v, want %v",
+				trial, len(q), p.MinKmerHits, got.Prefiltered, got.IDs, want)
+		}
+		if len(want) > 0 {
+			nonEmpty[len(q) <= 64]++
+		}
+	}
+	if nonEmpty[true] == 0 || nonEmpty[false] == 0 {
+		t.Fatalf("non-empty candidate sets by query ≤ 64 bases: %v; want both sides covered", nonEmpty)
 	}
 }

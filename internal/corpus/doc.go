@@ -1,7 +1,7 @@
 // Package corpus turns the repository's pair-scoring engines into a
 // database-search service: a reference corpus of sequences is ingested
 // once into an indexed on-disk store, and each query then runs a
-// two-stage path — a cheap bit-parallel prefilter that emits candidate
+// one-stage funnel — a k-mer posting-list prefilter that emits candidate
 // IDs, then exact Smith-Waterman scoring of only those candidates —
 // producing a ranked top-K hit list with score statistics.
 //
@@ -25,14 +25,14 @@
 //
 // # Query path
 //
-// Stage one counts, per corpus sequence, how many of the query's
+// The prefilter counts, per corpus sequence, how many of the query's
 // distinct k-mers occur in it (one posting-list walk per query k-mer)
-// and keeps sequences reaching MinKmerHits. Stage two, for queries of
-// at most 64 bases, refines survivors with Myers' bit-parallel
-// semi-global edit distance (internal/bitap) under a permissive edit
-// bound. Only the survivors reach the alignsvc.Backend for exact SW
-// scoring into a bounded min-heap of the K best hits. Both stages are
-// deterministic in the corpus and query, which is what lets a crashed
-// search job recompute its candidate set on resume and skip exactly the
-// chunks it already checkpointed.
+// and keeps sequences reaching MinKmerHits. It is a heuristic: a
+// sequence that shares fewer k-mers can still outscore a candidate, so
+// the filtered top-K equals a scan-all top-K only when true homologs
+// dominate the ranking. The candidates reach the alignsvc.Backend for
+// exact SW scoring into a bounded min-heap of the K best hits. The
+// prefilter is deterministic in the corpus and query, which is what lets
+// a crashed search job recompute its candidate set on resume and skip
+// exactly the chunks it already checkpointed.
 package corpus

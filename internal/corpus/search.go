@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/alignsvc"
-	"repro/internal/bitap"
 	"repro/internal/dna"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -16,63 +15,55 @@ import (
 type Params struct {
 	// TopK is how many ranked hits to return (default 10).
 	TopK int
-	// MinKmerHits is the stage-one threshold: a sequence must share at
+	// MinKmerHits is the prefilter threshold: a sequence must share at
 	// least this many of the query's distinct k-mers to become a
 	// candidate (default 4, clamped to the query's distinct k-mer
 	// count). Negative disables the prefilter entirely — every sequence
 	// is scored, the brute-force baseline.
 	MinKmerHits int
-	// MaxEdits is the stage-two bound: candidates whose bit-parallel
-	// semi-global edit distance to the query exceeds it are dropped
-	// before SW scoring. 0 means the default (a permissive quarter of
-	// the query length); negative disables stage two. Stage two only
-	// runs for queries of at most 64 bases (the bitap word width).
+	// MaxEdits is ignored. It bounded a retired second filter stage
+	// (bit-parallel edit distance) that cost more per candidate than the
+	// exact scoring it skipped; the field stays so callers that still set
+	// it compile, and a max_edits in a request body is accepted.
 	MaxEdits int
 }
 
-// Resolved fills the defaults for a query of qLen bases. Callers that
-// persist search parameters (the durable job WAL) store the resolved
-// form, so a resumed job re-derives the exact same candidate set.
-func (p Params) Resolved(qLen int) Params {
+// Resolved fills the defaults for a query. Callers that persist search
+// parameters (the durable job WAL) store the resolved form, so a resumed
+// job re-derives the exact same candidate set.
+func (p Params) Resolved() Params {
 	if p.TopK <= 0 {
 		p.TopK = 10
 	}
 	if p.MinKmerHits == 0 {
 		p.MinKmerHits = 4
 	}
-	if p.MaxEdits == 0 {
-		p.MaxEdits = qLen / 4
-	}
 	return p
 }
 
-// Candidates is the prefilter's output: the ascending IDs that survive,
-// plus where the funnel narrowed.
+// Candidates is the prefilter's output: the ascending IDs that survive.
 type Candidates struct {
 	// IDs are the surviving sequence IDs, ascending.
 	IDs []int32
 	// Prefiltered is false when the prefilter was bypassed (disabled, or
 	// the query is shorter than the index k) and IDs is every sequence.
 	Prefiltered bool
-	// KmerCandidates counts stage-one survivors (before bitap refining).
-	KmerCandidates int
 }
 
-// Prefilter runs the two-stage candidate funnel for a query. It is
-// pure: the same corpus, query and params always produce the same IDs,
-// which is what lets a resumed search job skip checkpointed chunks.
+// Prefilter returns the sequences sharing at least MinKmerHits of the
+// query's distinct k-mers, found by one posting-list walk per k-mer. It
+// is pure: the same corpus, query and params always produce the same
+// IDs, which is what lets a resumed search job skip checkpointed chunks.
 func (c *Corpus) Prefilter(q dna.Seq, p Params) Candidates {
-	p = p.Resolved(len(q))
+	p = p.Resolved()
 	if p.MinKmerHits < 0 || len(q) < c.k {
 		ids := make([]int32, len(c.seqs))
 		for i := range ids {
 			ids[i] = int32(i)
 		}
-		return Candidates{IDs: ids, KmerCandidates: len(ids)}
+		return Candidates{IDs: ids}
 	}
 
-	// Stage one: count, per sequence, how many of the query's distinct
-	// k-mers it contains — one posting-list walk per query k-mer.
 	counts := make([]int32, len(c.seqs))
 	distinct := 0
 	forEachDistinctKmer(c.k, q, func(code int) {
@@ -88,20 +79,7 @@ func (c *Corpus) Prefilter(q dna.Seq, p Params) Candidates {
 			ids = append(ids, int32(id))
 		}
 	}
-	out := Candidates{IDs: ids, Prefiltered: true, KmerCandidates: len(ids)}
-
-	// Stage two: bit-parallel edit-distance refinement, queries ≤ 64.
-	if p.MaxEdits >= 0 && len(q) <= 64 && len(ids) > 0 {
-		kept := ids[:0]
-		for _, id := range ids {
-			d, err := bitap.MyersMinDistance(q, c.seqs[id])
-			if err != nil || d <= p.MaxEdits {
-				kept = append(kept, id)
-			}
-		}
-		out.IDs = kept
-	}
-	return out
+	return Candidates{IDs: ids, Prefiltered: true}
 }
 
 // forEachDistinctKmer calls fn once per distinct k-mer code of s.
@@ -209,7 +187,7 @@ func RankHits(hits []Hit, k int) []Hit {
 type Stats struct {
 	Seqs           int           `json:"seqs"`              // corpus size
 	Prefiltered    bool          `json:"prefiltered"`       // false when the prefilter was bypassed
-	KmerCandidates int           `json:"kmer_candidates"`   // stage-one survivors
+	KmerCandidates int           `json:"kmer_candidates"`   // equals Candidates: the k-mer stage is the only filter
 	Candidates     int           `json:"candidates"`        // sequences that reached SW scoring
 	PassRate       float64       `json:"pass_rate"`         // Candidates / Seqs
 	Cells          int64         `json:"cells"`             // DP cells actually scored
@@ -266,10 +244,13 @@ func (s *Searcher) score(ctx context.Context, q dna.Seq, cand []int32, lo, hi, k
 	to := sort.Search(len(cand), func(i int) bool { return int(cand[i]) >= hi })
 	heap := newTopK(k, to-from)
 	var cells int64
+	// One pair buffer per call, reused across backend calls: the backend
+	// does not keep it.
+	buf := make([]dna.Pair, min(scoreBatch, to-from))
 	for from < to {
 		n := min(scoreBatch, to-from)
 		batch := cand[from : from+n]
-		pairs := make([]dna.Pair, n)
+		pairs := buf[:n]
 		for i, id := range batch {
 			pairs[i] = dna.Pair{X: q, Y: s.c.seqs[id]}
 			cells += int64(len(q)) * int64(len(s.c.seqs[id]))
@@ -303,8 +284,8 @@ type Result struct {
 	Stats Stats `json:"stats"`
 }
 
-// Search runs the full two-stage query path: prefilter, exact SW over
-// the survivors, ranked top-K with score statistics.
+// Search runs the full query path: k-mer prefilter, exact SW over the
+// candidates, ranked top-K with score statistics.
 func (s *Searcher) Search(ctx context.Context, q dna.Seq, p Params) (*Result, error) {
 	return s.SearchCandidates(ctx, q, p, s.c.Prefilter(q, p))
 }
@@ -316,8 +297,8 @@ func (s *Searcher) SearchCandidates(ctx context.Context, q dna.Seq, p Params, ca
 	if len(q) == 0 {
 		return nil, fmt.Errorf("corpus: empty query")
 	}
-	p = p.Resolved(len(q))
-	var scored []int
+	p = p.Resolved()
+	scored := make([]int, 0, len(cand.IDs))
 	hits, cells, err := s.score(ctx, q, cand.IDs, 0, s.c.Len(), p.TopK,
 		func(sc int) { scored = append(scored, sc) })
 	if err != nil {
@@ -338,7 +319,7 @@ func (s *Searcher) buildStats(q dna.Seq, cand Candidates, cells int64, scored []
 	st := Stats{
 		Seqs:           s.c.Len(),
 		Prefiltered:    cand.Prefiltered,
-		KmerCandidates: cand.KmerCandidates,
+		KmerCandidates: len(cand.IDs),
 		Candidates:     len(cand.IDs),
 		Cells:          cells,
 		BruteCells:     brute,

@@ -56,7 +56,7 @@ func (m *Manager) record(req Request) (jobstore.SubmitRecord, error) {
 	if !ok {
 		return jobstore.SubmitRecord{}, fmt.Errorf("%w: %q", ErrNoCorpus, s.Corpus)
 	}
-	p := s.Params.Resolved(len(s.Query))
+	p := s.Params.Resolved()
 	return jobstore.SubmitRecord{Kind: jobstore.KindSearch, ChunkSize: m.cfg.SearchChunkSize,
 		Search: &jobstore.SearchSpec{
 			Corpus:      s.Corpus,
@@ -64,7 +64,7 @@ func (m *Manager) record(req Request) (jobstore.SubmitRecord, error) {
 			Query:       s.Query.String(),
 			TopK:        p.TopK,
 			MinKmerHits: p.MinKmerHits,
-			MaxEdits:    p.MaxEdits,
+			MaxEdits:    -1, // off, so an older binary replaying the record derives the same candidates
 			SeqCount:    h.Corpus.Len(),
 		}}, nil
 }
@@ -115,12 +115,18 @@ func (m *Manager) prepare(j *jobstore.Job) (scoreFunc, error) {
 	case h.Corpus.Len() != spec.SeqCount:
 		return nil, fmt.Errorf("corpus %q has %d sequences, submit-time %d",
 			spec.Corpus, h.Corpus.Len(), spec.SeqCount)
+	case len(j.Chunks) > 0 && spec.MaxEdits >= 0 && spec.MinKmerHits >= 0 &&
+		len(spec.Query) >= h.Corpus.K() && len(spec.Query) <= 64:
+		// An older version narrowed these candidates with a bitap stage:
+		// its checkpoints must not merge with chunks of the k-mer stage.
+		return nil, fmt.Errorf("checkpoints were scored with the retired bitap edit-distance stage (max_edits %d); resubmit the search",
+			spec.MaxEdits)
 	}
 	q, err := dna.Parse(spec.Query)
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	cand := h.Corpus.Prefilter(q, corpus.Params{TopK: spec.TopK, MinKmerHits: spec.MinKmerHits, MaxEdits: spec.MaxEdits})
+	cand := h.Corpus.Prefilter(q, corpus.Params{TopK: spec.TopK, MinKmerHits: spec.MinKmerHits})
 	return func(ctx context.Context, lo, hi int) (jobstore.Checkpoint, error) {
 		hits, _, err := h.Searcher.ScoreRange(ctx, q, cand.IDs, lo, hi, spec.TopK)
 		if err != nil {

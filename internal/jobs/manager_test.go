@@ -181,7 +181,7 @@ const kindChunks = 8
 
 // searchParams scans the whole corpus (no prefilter), so every chunk of
 // a search job scores candidates and holds a delayed runner.
-var searchParams = corpus.Params{TopK: 5, MinKmerHits: -1, MaxEdits: -1}
+var searchParams = corpus.Params{TopK: 5, MinKmerHits: -1}
 
 // jobKinds builds the two-kind table: alignment jobs of kindChunks
 // one-pair chunks, and search jobs over a kindChunks×50-sequence corpus in

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -171,4 +172,72 @@ func TestSearchJobFingerprintMismatch(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestSearchJobRetiredEditStage covers search jobs recorded by a version
+// that narrowed k-mer candidates with a bitap edit-distance stage (a
+// max_edits ≥ 0 with a query of k to 64 bases). Such a job that already
+// holds a checkpoint fails typed rather than merge chunks scored over two
+// candidate sets; with no checkpoint it simply runs on the k-mer stage.
+// New submissions record the stage as off (max_edits -1).
+func TestSearchJobRetiredEditStage(t *testing.T) {
+	c, q48 := newSearchCorpus(t, 100)
+	q := append(q48.Clone(), q48[:16]...) // 64 bases: the old stage ran
+	svc := newTestService(t, nil)
+	dir := t.TempDir()
+
+	store, _, err := jobstore.Open(jobstore.Options{Dir: dir, Sync: jobstore.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	old := func(id string) {
+		spec := jobstore.SearchSpec{Corpus: "ref", Fingerprint: c.Fingerprint(), Query: q.String(),
+			TopK: 5, MinKmerHits: 4, MaxEdits: 12, SeqCount: c.Len()}
+		if _, err := store.Submit(jobstore.SubmitRecord{ID: id, Kind: jobstore.KindSearch,
+			ChunkSize: 50, Search: &spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old("job-checkpointed")
+	if _, err := store.SetState("job-checkpointed", jobstore.StateRunning, ""); err != nil {
+		t.Fatal(err)
+	}
+	ck := jobstore.Checkpoint{Hits: []jobstore.HitData{{ID: 0, Name: c.Name(0), Score: 96}}}
+	if err := store.AddChunk("job-checkpointed", 0, ck); err != nil {
+		t.Fatal(err)
+	}
+	old("job-fresh")
+
+	cfg := Config{Store: store, Service: svc, Corpora: mountCorpus(t, c, 0), SearchChunkSize: 50,
+		ChunkTimeout: 30 * time.Second, Metrics: obs.NewRegistry()}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	failed := waitState(t, m, "job-checkpointed", jobstore.StateFailed, 10*time.Second)
+	if !strings.Contains(failed.Error, "retired bitap edit-distance stage") {
+		t.Fatalf("failure %q does not name the retired stage", failed.Error)
+	}
+	waitState(t, m, "job-fresh", jobstore.StateDone, 10*time.Second)
+	want, err := corpus.NewSearcher(c, stripedBackend(t), nil).Search(context.Background(), q,
+		corpus.Params{TopK: 5, MinKmerHits: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultOf(t, m, "job-fresh").Hits; !reflect.DeepEqual(got, want.Hits) {
+		t.Fatalf("fresh old-record job hits %v, k-mer-stage search %v", got, want.Hits)
+	}
+
+	snap, _, err := m.SubmitFor(Request{Search: &Search{Corpus: "ref", Query: q,
+		Params: corpus.Params{TopK: 5, MaxEdits: 12}}}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, ok := store.Get(snap.ID); !ok || j.Search == nil || j.Search.MaxEdits != -1 {
+		t.Fatalf("new submission's record: %+v, want a search spec with max_edits -1", j)
+	}
+	waitState(t, m, snap.ID, jobstore.StateDone, 10*time.Second)
 }

@@ -77,7 +77,7 @@ type SearchSpec struct {
 	Query       string `json:"query"`       // ACGT query string
 	TopK        int    `json:"top_k"`
 	MinKmerHits int    `json:"min_kmer_hits"`
-	MaxEdits    int    `json:"max_edits"`
+	MaxEdits    int    `json:"max_edits"` // bound of the retired bitap stage; new records write -1 (off)
 	SeqCount    int    `json:"seq_count"` // corpus size at submit; chunking divides it
 }
 

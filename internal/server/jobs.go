@@ -35,9 +35,9 @@ const (
 
 // JobSubmitRequest is the POST /jobs body. With Kind empty (alignment)
 // either Pairs or Preset must be set (same shapes and caps as /align).
-// With Kind "search" the Corpus/Query/TopK/MinKmerHits/MaxEdits fields
-// describe a corpus search (same semantics as POST /search) and
-// Pairs/Preset must be absent. IdempotencyKey deduplicates re-sent
+// With Kind "search" the Corpus/Query/TopK/MinKmerHits fields describe a
+// corpus search (same semantics as POST /search, MaxEdits ignored alike)
+// and Pairs/Preset must be absent. IdempotencyKey deduplicates re-sent
 // submissions per tenant; the Idempotency-Key header takes precedence
 // when both are present.
 type JobSubmitRequest struct {
@@ -307,7 +307,7 @@ func (s *Server) parseJobRequest(w http.ResponseWriter, r *http.Request) (sub jo
 		}
 		sub.handle = h
 		sub.req.Search = &jobs.Search{Corpus: h.Name, Query: q,
-			Params: corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits, MaxEdits: req.MaxEdits}}
+			Params: corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits}}
 		return sub, 0, "", nil
 	case "":
 		// Alignment, below.

@@ -1,8 +1,8 @@
 // Corpus-search endpoints: POST /search answers a ranked top-K query
 // synchronously (small corpora, interactive use), while POST /jobs with
 // kind "search" runs the same query as a durable chunk-checkpointed job
-// (see jobs.go). Both charge the tenant's cell bucket with the
-// *post-prefilter* candidate cells — the work the query will actually
+// (see jobs.go). Both charge the tenant's cell bucket with the cells of
+// the k-mer prefilter's candidates — the work the query will actually
 // buy — so a selective prefilter makes searches proportionally cheaper
 // against quota, exactly like the DP-cell accounting on /align. The
 // endpoints are mounted only when Config.Corpora is set.
@@ -26,9 +26,9 @@ import (
 const CodeNoCorpus = "no_corpus"
 
 // SearchRequest is the POST /search body. Corpus may be omitted when
-// exactly one corpus is mounted. TopK, MinKmerHits and MaxEdits follow
-// corpus.Params semantics (zero = default, negative = disabled where
-// applicable).
+// exactly one corpus is mounted. TopK and MinKmerHits follow
+// corpus.Params semantics (zero = default, negative MinKmerHits = scan
+// all). MaxEdits is accepted and ignored, as in corpus.Params.
 type SearchRequest struct {
 	Corpus      string `json:"corpus,omitempty"`
 	Query       string `json:"query"`
@@ -121,9 +121,9 @@ func (s *Server) parseSearchQuery(raw string) (dna.Seq, error) {
 	return dna.Parse(raw)
 }
 
-// candidateCells is the post-prefilter cost of a query: query length ×
-// the total length of the surviving candidate sequences — the DP cells
-// the search will actually score, charged to the tenant's cell bucket.
+// candidateCells is the cost of a query: query length × the total length
+// of the prefilter's candidate sequences — the DP cells the search will
+// actually score, charged to the tenant's cell bucket.
 func candidateCells(c *corpus.Corpus, qLen int, cand corpus.Candidates) int64 {
 	var total int64
 	for _, id := range cand.IDs {
@@ -173,11 +173,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "query: "+err.Error())
 		return
 	}
-	p := corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits, MaxEdits: req.MaxEdits}
+	p := corpus.Params{TopK: req.TopK, MinKmerHits: req.MinKmerHits}
 
-	// One request token, then the post-prefilter candidate cells. The
-	// prefilter is pure and cheap (posting-list walks + bitap), so running
-	// it before admission is safe; the expensive SW stage is what the
+	// One request token, then the candidate cells. The prefilter is pure
+	// and cheap (one posting-list walk per query k-mer), so running it
+	// before admission is safe; the expensive SW stage is what the
 	// admission slot and the cell bucket actually guard. The same
 	// candidates are then scored, so the prefilter runs once per request.
 	var cand corpus.Candidates

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -160,8 +161,38 @@ func TestSearchEndpointRejections(t *testing.T) {
 // TestSearchJobOverHTTP drives the kind "search" job end to end through
 // the HTTP API: submit, poll, fetch the hits result, and confirm it
 // matches the synchronous endpoint.
+// twoBaseSeq draws n bases from {a, b} only.
+func twoBaseSeq(rng *rand.Rand, n int, a, b dna.Base) dna.Seq {
+	s := make(dna.Seq, n)
+	for i := range s {
+		s[i] = a
+		if rng.IntN(2) == 1 {
+			s[i] = b
+		}
+	}
+	return s
+}
+
 func TestSearchJobOverHTTP(t *testing.T) {
 	corpora, q := newServerCorpus(t, 600)
+	// A second mount over A and T shares no k-mer with a query over G and
+	// C, so that query has no candidates: the empty-result case.
+	rng := rand.New(rand.NewPCG(5, 6))
+	recs := make([]dna.Record, 20)
+	for i := range recs {
+		recs[i] = dna.Record{Name: fmt.Sprintf("at-%02d", i), Seq: twoBaseSeq(rng, 96, dna.A, dna.T)}
+	}
+	at, err := corpus.Build(t.TempDir(), recs, corpus.IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := alignsvc.NewBackend(alignsvc.BackendStriped, pipeline.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := corpora.Add("at", at, corpus.NewSearcher(at, be, nil)); err != nil {
+		t.Fatal(err)
+	}
 	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2},
 		Config{Corpora: corpora},
 		func(jc *jobs.Config) {
@@ -190,19 +221,20 @@ func TestSearchJobOverHTTP(t *testing.T) {
 		t.Fatalf("result status %d", resp.StatusCode)
 	}
 	var sync SearchResponse
-	doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Query: q.String(), TopK: 4}, &sync)
+	doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Corpus: "ref", Query: q.String(), TopK: 4}, &sync)
 	if !reflect.DeepEqual(res.Hits, sync.Hits) {
 		t.Fatalf("job hits %v != /search hits %v", res.Hits, sync.Hits)
 	}
 
 	// A search without hits answers an empty list, never null.
-	none := strings.Repeat("A", len(q))
-	doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Query: none, TopK: 4}, &sync)
-	if len(sync.Hits) != 0 {
-		t.Fatalf("poly-A query found %d hits; the empty-result check needs none", len(sync.Hits))
+	none := twoBaseSeq(rng, len(q), dna.G, dna.C).String()
+	doJSON(t, http.MethodPost, ts.URL+"/search", SearchRequest{Corpus: "at", Query: none, TopK: 4}, &sync)
+	if len(sync.Hits) != 0 || sync.Stats.Candidates != 0 {
+		t.Fatalf("G/C query on the A/T corpus: %d hits of %d candidates; the empty-result check needs none",
+			len(sync.Hits), sync.Stats.Candidates)
 	}
 	resp = doJSON(t, http.MethodPost, ts.URL+"/jobs",
-		JobSubmitRequest{Kind: jobstore.KindSearch, Corpus: "ref", Query: none, TopK: 4}, &snap)
+		JobSubmitRequest{Kind: jobstore.KindSearch, Corpus: "at", Query: none, TopK: 4}, &snap)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("empty-result submit status %d", resp.StatusCode)
 	}
@@ -230,6 +262,54 @@ func TestSearchJobOverHTTP(t *testing.T) {
 		JobSubmitRequest{Kind: jobstore.KindSearch, Corpus: "nope", Query: q.String()}, &errResp)
 	if resp.StatusCode != http.StatusNotFound || errResp.Code != CodeNoCorpus {
 		t.Fatalf("unknown corpus: status %d code %q", resp.StatusCode, errResp.Code)
+	}
+}
+
+// TestSearchMaxEditsIgnored pins max_edits as an accepted, ignored field:
+// 0 (the old default), 3 and -1 (the old "stage off") give byte-identical
+// hits on /search and on a search job, for a query of at most 64 bases
+// (where the retired edit-distance stage used to run) and one above. A
+// top_k above the candidate count ranks every candidate, so a filter
+// that max_edits still switched would show.
+func TestSearchMaxEditsIgnored(t *testing.T) {
+	corpora, q := newServerCorpus(t, 600)
+	_, ts, _ := newJobsTestServer(t, alignsvc.Config{Workers: 2},
+		Config{Corpora: corpora},
+		func(jc *jobs.Config) {
+			jc.Corpora = corpora
+			jc.SearchChunkSize = 128
+		})
+	for _, query := range []string{q.String(), q.String() + q[:24].String()} {
+		var want []byte
+		for _, maxEdits := range []int{0, 3, -1} {
+			var sync SearchResponse
+			resp := doJSON(t, http.MethodPost, ts.URL+"/search",
+				SearchRequest{Query: query, TopK: 50, MaxEdits: maxEdits}, &sync)
+			if resp.StatusCode != http.StatusOK || len(sync.Hits) == 0 {
+				t.Fatalf("%d-base query, max_edits %d: /search status %d, %d hits",
+					len(query), maxEdits, resp.StatusCode, len(sync.Hits))
+			}
+			var snap jobs.Snapshot
+			resp = doJSON(t, http.MethodPost, ts.URL+"/jobs", JobSubmitRequest{Kind: jobstore.KindSearch,
+				Corpus: "ref", Query: query, TopK: 50, MaxEdits: maxEdits}, &snap)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("max_edits %d: submit status %d", maxEdits, resp.StatusCode)
+			}
+			if done := pollJobDone(t, ts.URL, snap.ID, 15*time.Second); done.State != jobstore.StateDone {
+				t.Fatalf("max_edits %d: job ended %s: %s", maxEdits, done.State, done.Error)
+			}
+			var res SearchJobResultResponse
+			doJSON(t, http.MethodGet, ts.URL+"/jobs/"+snap.ID+"/result", nil, &res)
+			syncHits, _ := json.Marshal(sync.Hits)
+			jobHits, _ := json.Marshal(res.Hits)
+			if want == nil {
+				want = syncHits
+			}
+			if !bytes.Equal(syncHits, want) || !bytes.Equal(jobHits, want) {
+				t.Fatalf("%d-base query, max_edits %d: /search %s, job %s, want %s",
+					len(query), maxEdits, syncHits, jobHits, want)
+			}
+		}
 	}
 }
 
