@@ -1,7 +1,7 @@
 // Command swaserver runs the HTTP alignment server: alignsvc.Service (score
-// cache → worker pool → pluggable execution backend, with the scalar
-// reference answering any batch its backend fails) behind internal/server's
-// admission control.
+// cache → engine slot → pluggable execution backend, each batch scoring on
+// its request's goroutine, with the scalar reference answering any batch
+// its backend fails) behind internal/server's admission control.
 //
 // -backend selects the default serving engine: striped (the native
 // Farrar-style SIMD CPU engine, the wall-clock default), bitwise-sim /
@@ -97,8 +97,7 @@ func main() {
 	backend := flag.String("backend", alignsvc.BackendStriped,
 		"default execution backend: "+strings.Join(alignsvc.BackendNames(), ", "))
 	opsAddr := flag.String("ops-addr", "", "ops listen address for /metricsz, /tracez and pprof (empty = disabled)")
-	workers := flag.Int("workers", 0, "service worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "service queue depth (0 = workers)")
+	workers := flag.Int("workers", 0, "service engine slots: batches scoring at once (0 = GOMAXPROCS)")
 	lanes := flag.Int("lanes", 32, "bitwise lane width: 32 or 64")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "score-cache size bound in bytes (0 disables the cache)")
 	cacheTTL := flag.Duration("cache-ttl", 10*time.Minute, "score-cache entry lifetime (0 = no expiry)")
@@ -188,7 +187,6 @@ func main() {
 		Cache:   cache,
 		Lanes:   *lanes,
 		Workers: *workers,
-		Queue:   *queue,
 	})
 	// Reference corpora: each -corpus name=dir opens a CRC-checked index
 	// built by dbfilter -build, and all mounts share one exact scoring

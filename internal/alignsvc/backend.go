@@ -77,7 +77,7 @@ func scoringOf(cfg pipeline.Config) swa.Scoring {
 	return cfg.Scoring
 }
 
-// NewBackend constructs a standalone backend: no worker pool, no cache,
+// NewBackend constructs a standalone backend: no engine slot, no cache,
 // no fallback — just the engine. The benchmark harness and the
 // cross-backend exactness oracle use it to measure and compare engines in
 // isolation. cfg supplies the scoring scheme (and, for the simulated

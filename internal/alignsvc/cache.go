@@ -3,8 +3,8 @@ package alignsvc
 // This file is the cache face of the service: Align's cached fast path,
 // recovery-time cache warming, and the Stats surface. The cache itself
 // (sharding, LRU, TTL, singleflight) lives in internal/aligncache; this
-// layer decides how a batch splits into cached and uncached halves and how
-// the uncached remainder flows through the existing dispatch machinery.
+// layer decides how a batch splits into cached and uncached halves; the
+// uncached remainder takes an engine slot through dispatch like any batch.
 
 import (
 	"context"
@@ -71,9 +71,9 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 
 	rep := Report{CacheHits: hits}
 
-	// Dispatch the uncached remainder as one batch through the worker
-	// pool, then publish each score so every follower (here and in
-	// concurrent batches) unblocks.
+	// Score the uncached remainder as one batch on one engine slot, then
+	// publish each score so every follower (here and in concurrent
+	// batches) unblocks.
 	if len(missPairs) > 0 {
 		res, err := s.dispatch(ctx, missPairs, backend)
 		if err != nil {

@@ -168,8 +168,8 @@ func TestCacheExactUnderFaultInjection(t *testing.T) {
 // is never cached, every follower recomputes exact scores itself, and the
 // recomputed scores then serve an identical batch entirely from the cache.
 func TestCacheLeaderDeadlineNotCached(t *testing.T) {
-	// Every backend call holds its worker for 150 ms before scoring, well
-	// past the leader's 100 ms deadline.
+	// Every backend call holds its engine slot for 150 ms before
+	// scoring, well past the leader's 100 ms deadline.
 	s := newCachedService(t, Config{Wrap: func(be Backend) Backend {
 		return slowBackend{Backend: be, hold: 150 * time.Millisecond}
 	}})

@@ -66,7 +66,7 @@ func ParseTier(s string) (Tier, error) {
 type Report struct {
 	Tier      Tier          // tier whose scores were returned
 	Fallbacks int           // 1 when the backend failed and the CPU reference served, else 0
-	Elapsed   time.Duration // wall time from dequeue to scores
+	Elapsed   time.Duration // wall time from taking an engine slot (with a cache: from Align) to scores
 
 	CacheHits      int // pairs served from the score cache
 	CacheCoalesced int // pairs that waited on another batch's computation

@@ -1,7 +1,9 @@
 // Package alignsvc is the batch-alignment service layer: it puts every
 // scoring engine — the simulated GPU pipelines, the native striped CPU
 // engine and the scalar reference — behind one pluggable Backend seam,
-// served as cache → bounded worker pool → the batch's backend.
+// served as cache → engine slot → the batch's backend. A batch scores on
+// its caller's goroutine once it holds one of Config.Workers slots; no
+// queue or worker goroutine stands between the caller and the engine.
 //
 // Every backend is exact by construction, so a batch runs on its backend
 // once. If that backend fails with anything but a context error (a shape
@@ -35,7 +37,7 @@ import (
 var ErrClosed = errors.New("alignsvc: service closed")
 
 // Config tunes the service. The zero value is usable: the bitwise-sim
-// backend, 32 lanes, GOMAXPROCS workers, no cache.
+// backend, 32 lanes, GOMAXPROCS engine slots, no cache.
 type Config struct {
 	// Backend selects the default serving engine by name:
 	// BackendBitwiseSim (also the "" default), BackendWordwiseSim,
@@ -47,23 +49,24 @@ type Config struct {
 	Pipeline pipeline.Config
 	// Lanes selects the bitwise lane width, 32 (default) or 64.
 	Lanes int
-	// Workers bounds how many batches run concurrently (default
-	// GOMAXPROCS). Queue bounds how many more may wait (default Workers);
-	// beyond that, Align blocks — the backpressure signal.
-	Workers, Queue int
+	// Workers is the number of engine slots: how many batches score at
+	// once (default GOMAXPROCS). Align takes a slot on its caller's
+	// goroutine and, while every slot is taken, blocks honouring its
+	// context — the backpressure signal.
+	Workers int
 	// Metrics receives the service's queue-wait and batch-latency
 	// histograms plus fallback counters (nil = obs.Default()). It is also
 	// handed to the pipelines unless Pipeline.Metrics is set.
 	Metrics *obs.Registry
 	// Cache, when non-nil, memoizes per-pair scores by content hash
-	// (pattern bytes, text bytes, scoring, lane width). Cache hits bypass
-	// the worker pool entirely; a partially cached batch dispatches only
-	// its uncached remainder, and concurrent identical pairs coalesce onto
-	// one computation. nil (the default) keeps the service byte-identical
-	// to the uncached behaviour.
+	// (pattern bytes, text bytes, scoring, lane width). Cache hits take no
+	// engine slot; a partially cached batch dispatches only its uncached
+	// remainder, and concurrent identical pairs coalesce onto one
+	// computation. nil (the default) keeps the service byte-identical to
+	// the uncached behaviour.
 	Cache *aligncache.Cache
 	// Wrap, when set, wraps every backend the service serves with. It is
-	// the seam tests use to inject failures or hold a worker slot; nil in
+	// the seam tests use to inject failures or hold an engine slot; nil in
 	// production. The scalar reference a failed batch falls back to is
 	// never wrapped.
 	Wrap func(Backend) Backend
@@ -76,33 +79,17 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Queue <= 0 {
-		c.Queue = c.Workers
-	}
 	return c
-}
-
-type job struct {
-	ctx       context.Context
-	pairs     []dna.Pair
-	backend   string    // serving backend (validated before enqueue)
-	submitted time.Time // when Align enqueued it, for the queue-wait metric
-	res       chan jobResult
-}
-
-type jobResult struct {
-	batch *BatchResult
-	err   error
 }
 
 // Service is a long-lived batch-alignment service. Create with New, submit
 // with Align (safe for concurrent use), and Close when done.
 type Service struct {
-	cfg  Config
-	jobs chan *job
-	quit chan struct{}
-	wg   sync.WaitGroup
-
+	cfg Config
+	// slots holds one token per batch scoring now; its capacity is
+	// Config.Workers.
+	slots     chan struct{}
+	quit      chan struct{}
 	closeOnce sync.Once
 
 	// backends holds one Backend per tier, wrapped by Config.Wrap; ref is
@@ -118,9 +105,9 @@ type Service struct {
 	deadlineHits, cancellations, panicsRecovered    atomic.Int64
 }
 
-// New starts the worker pool and returns the service. It panics on an
-// unknown Config.Backend name — serving with a different engine than the
-// operator asked for is worse than failing fast.
+// New returns the service. It panics on an unknown Config.Backend name —
+// serving with a different engine than the operator asked for is worse
+// than failing fast.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	if _, err := backendTier(cfg.Backend); err != nil {
@@ -131,10 +118,10 @@ func New(cfg Config) *Service {
 		reg = obs.Default()
 	}
 	s := &Service{
-		cfg:  cfg,
-		jobs: make(chan *job, cfg.Queue),
-		quit: make(chan struct{}),
-		obs:  reg,
+		cfg:   cfg,
+		slots: make(chan struct{}, cfg.Workers),
+		quit:  make(chan struct{}),
+		obs:   reg,
 	}
 	pcfg := cfg.Pipeline
 	if pcfg.Metrics == nil {
@@ -154,51 +141,34 @@ func New(cfg Config) *Service {
 			s.backends[t] = cfg.Wrap(be)
 		}
 	}
-	reg.Help("alignsvc_queue_wait_seconds", "time a batch waited for a worker")
-	reg.Help("alignsvc_batch_seconds", "dequeue-to-scores latency of successful batches, by serving tier")
+	reg.Help("alignsvc_queue_wait_seconds", "time a batch waited for an engine slot")
+	reg.Help("alignsvc_batch_seconds", "slot-to-scores latency of successful batches, by serving tier")
 	reg.Help("alignsvc_batches_total", "successful batches by serving tier")
 	reg.Help("alignsvc_fallbacks_total", "batches re-scored on the CPU reference after their backend failed")
-	s.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go s.worker()
-	}
 	return s
 }
 
-// Close stops the workers after the current batches finish. Pending and
-// future Align calls return ErrClosed.
+// Close refuses new work and returns once every batch scoring at the call
+// has finished with its own result. Align calls waiting for a slot, and
+// every later one, return ErrClosed.
 func (s *Service) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
-	s.wg.Wait()
-}
-
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case j := <-s.jobs:
-			wait := time.Since(j.submitted)
-			s.obs.Histogram("alignsvc_queue_wait_seconds", obs.LatencyBuckets).ObserveDuration(wait)
-			obs.FromContext(j.ctx).AddSpan("alignsvc.queue_wait", j.submitted, wait)
-			endSvc := obs.FromContext(j.ctx).StartSpan("alignsvc.process")
-			batch, err := s.process(j.ctx, j.pairs, j.backend)
-			endSvc()
-			j.res <- jobResult{batch, err}
+	s.closeOnce.Do(func() {
+		close(s.quit)
+		for range cap(s.slots) {
+			s.slots <- struct{}{}
 		}
-	}
+	})
 }
 
 // Align scores one uniform batch of pairs with the default backend. It
-// blocks while the queue is full (backpressure) and honours ctx at every
-// stage: submission, kernel-block boundaries and the CPU reference loop.
-// On success the scores are exact; the report names the tier that served
-// them.
+// blocks while every engine slot is taken (backpressure) and honours ctx
+// at every stage: the slot wait, kernel-block boundaries and the CPU
+// reference loop. On success the scores are exact; the report names the
+// tier that served them.
 //
 // With Config.Cache set, pairs whose scores are already cached are served
-// without touching the worker pool; only the uncached remainder is
-// dispatched (see alignCached). Scores are exact either way — a cache hit
+// without taking a slot; only the uncached remainder is dispatched (see
+// alignCached). Scores are exact either way — a cache hit
 // is byte-identical to a recompute by key construction, whichever backend
 // filled it (see aligncache.KeyOf).
 func (s *Service) Align(ctx context.Context, pairs []dna.Pair) (*BatchResult, error) {
@@ -219,7 +189,7 @@ func Cells(pairs []dna.Pair) int64 {
 
 // AlignBackend is Align with a per-request backend override: the batch is
 // served by the named backend instead of the configured default. An
-// unknown name fails before any work is enqueued.
+// unknown name fails before a slot is taken.
 func (s *Service) AlignBackend(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
 	if _, err := backendTier(backend); err != nil {
 		return nil, err
@@ -234,25 +204,29 @@ func (s *Service) align(ctx context.Context, pairs []dna.Pair, backend string) (
 	return s.dispatch(ctx, pairs, backend)
 }
 
-// dispatch is the uncached path: enqueue the batch for a worker and wait.
+// dispatch is the uncached path: take an engine slot on the caller's
+// goroutine, then score the batch while holding it.
 func (s *Service) dispatch(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
-	j := &job{ctx: ctx, pairs: pairs, backend: backend,
-		submitted: time.Now(), res: make(chan jobResult, 1)}
+	start := time.Now()
 	select {
-	case s.jobs <- j:
+	case s.slots <- struct{}{}:
 	case <-ctx.Done():
 		return nil, s.noteCtxErr(ctx.Err())
 	case <-s.quit:
 		return nil, ErrClosed
 	}
+	defer func() { <-s.slots }()
 	select {
-	case r := <-j.res:
-		return r.batch, r.err
-	case <-ctx.Done():
-		return nil, s.noteCtxErr(ctx.Err())
-	case <-s.quit:
+	case <-s.quit: // Close has begun: start no new batch
 		return nil, ErrClosed
+	default:
 	}
+	wait := time.Since(start)
+	s.obs.Histogram("alignsvc_queue_wait_seconds", obs.LatencyBuckets).ObserveDuration(wait)
+	tr := obs.FromContext(ctx)
+	tr.AddSpan("alignsvc.queue_wait", start, wait)
+	defer tr.StartSpan("alignsvc.process")()
+	return s.process(ctx, pairs, backend)
 }
 
 // Stats snapshots the service counters.
@@ -295,7 +269,7 @@ func isCtxErr(err error) bool {
 // a context error sends the batch to the scalar reference, exactly once.
 func (s *Service) process(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
 	start := time.Now()
-	tier, _ := backendTier(backend) // validated before enqueue
+	tier, _ := backendTier(backend) // validated by Align and AlignBackend
 	rep := Report{Tier: tier}
 	scores, err := s.run(ctx, tier, s.backends[tier], pairs)
 	if err != nil && !isCtxErr(err) {

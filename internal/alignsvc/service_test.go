@@ -77,19 +77,53 @@ func flakyWrap(rate float64, seed uint64) (func(Backend) Backend, *atomic.Int64)
 }
 
 // slowBackend holds its caller for hold before scoring, without using CPU,
-// and gives up early when the context ends.
+// and gives up early when the context ends. A non-nil scoring channel
+// receives one value as each call starts its hold; closing release ends
+// every hold at once.
 type slowBackend struct {
 	Backend
-	hold time.Duration
+	hold    time.Duration
+	scoring chan<- struct{}
+	release <-chan struct{}
 }
 
 func (b slowBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error) {
+	if b.scoring != nil {
+		b.scoring <- struct{}{}
+	}
 	t := time.NewTimer(b.hold)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return nil, BatchStats{}, ctx.Err()
 	case <-t.C:
+	case <-b.release:
+	}
+	return b.Backend.AlignBatch(ctx, pairs, opts)
+}
+
+// holdWrap returns a Config.Wrap that holds every batch in its backend
+// for a minute, or until release is closed or the context ends, and the
+// channel that receives one value as each batch starts scoring. Its
+// callers let one batch reach the backend.
+func holdWrap(release <-chan struct{}) (func(Backend) Backend, <-chan struct{}) {
+	scoring := make(chan struct{}, 1)
+	return func(be Backend) Backend {
+		return slowBackend{Backend: be, hold: time.Minute, scoring: scoring, release: release}
+	}, scoring
+}
+
+// peakBackend records the most AlignBatch calls in progress at once,
+// across every backend that shares its counters.
+type peakBackend struct {
+	Backend
+	cur, peak *atomic.Int64
+}
+
+func (b peakBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts BatchOpts) ([]int, BatchStats, error) {
+	n := b.cur.Add(1)
+	defer b.cur.Add(-1)
+	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
 	}
 	return b.Backend.AlignBatch(ctx, pairs, opts)
 }
@@ -205,29 +239,58 @@ func TestRejectedShapeKeepsBitwiseServing(t *testing.T) {
 	}
 }
 
+// TestDeadlinePropagates: a deadline that expires while the batch scores
+// aborts it with context.DeadlineExceeded, counted once in Stats and once
+// in alignsvc_deadline_total.
 func TestDeadlinePropagates(t *testing.T) {
-	s := New(Config{})
+	reg := obs.NewRegistry()
+	wrap, scoring := holdWrap(nil)
+	s := New(Config{Metrics: reg, Wrap: wrap})
 	defer s.Close()
-	pairs := plantedPairs(256, 32, 256, 7)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := s.Align(ctx, pairs)
+	_, err := s.Align(ctx, plantedPairs(32, 16, 32, 7))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
-	if st := s.Stats(); st.DeadlineHits == 0 {
-		t.Fatalf("deadline hit not counted: %+v", st)
+	select {
+	case <-scoring:
+	default:
+		t.Fatal("the deadline expired before the batch reached its backend")
+	}
+	s.Close() // every count of this batch is in once Close returns
+	if st := s.Stats(); st.DeadlineHits != 1 || st.Cancellations != 0 {
+		t.Fatalf("deadline hits %d, cancellations %d, want 1 and 0", st.DeadlineHits, st.Cancellations)
+	}
+	if c := reg.Counter("alignsvc_deadline_total").Value(); c != 1 {
+		t.Fatalf("alignsvc_deadline_total = %d, want 1", c)
 	}
 }
 
+// TestCancellationPropagates: a context canceled while the batch scores
+// aborts it with context.Canceled, counted once in Stats and once in
+// alignsvc_canceled_total.
 func TestCancellationPropagates(t *testing.T) {
-	s := New(Config{})
+	reg := obs.NewRegistry()
+	wrap, scoring := holdWrap(nil)
+	s := New(Config{Metrics: reg, Wrap: wrap})
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	defer cancel()
+	go func() {
+		<-scoring
+		cancel()
+	}()
 	_, err := s.Align(ctx, plantedPairs(32, 16, 32, 8))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	s.Close() // every count of this batch is in once Close returns
+	if st := s.Stats(); st.Cancellations != 1 || st.DeadlineHits != 0 {
+		t.Fatalf("cancellations %d, deadline hits %d, want 1 and 0", st.Cancellations, st.DeadlineHits)
+	}
+	if c := reg.Counter("alignsvc_canceled_total").Value(); c != 1 {
+		t.Fatalf("alignsvc_canceled_total = %d, want 1", c)
 	}
 }
 
@@ -272,8 +335,13 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-func TestWorkerPoolConcurrency(t *testing.T) {
-	s := New(Config{Workers: 2, Queue: 1})
+// TestAlignBoundsConcurrentBatches: 16 concurrent Aligns on Workers: 2
+// all score exactly, and exactly two backend calls run at the peak.
+func TestAlignBoundsConcurrentBatches(t *testing.T) {
+	var cur, peak atomic.Int64
+	s := New(Config{Workers: 2, Metrics: obs.NewRegistry(), Wrap: func(be Backend) Backend {
+		return peakBackend{Backend: slowBackend{Backend: be, hold: 10 * time.Millisecond}, cur: &cur, peak: &peak}
+	}})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -293,13 +361,63 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	if st := s.Stats(); st.Batches != 16 {
 		t.Fatalf("want 16 batches, got %+v", st)
 	}
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("peak concurrent backend calls = %d, want Workers = 2", p)
+	}
 }
 
+// TestCloseRejectsNewWork: with one slot, Close lets the batch holding it
+// finish with exact scores and returns only after it; an Align waiting
+// for the slot, and every Align after Close, gets ErrClosed.
 func TestCloseRejectsNewWork(t *testing.T) {
-	s := New(Config{})
-	s.Close()
-	if _, err := s.Align(context.Background(), plantedPairs(32, 8, 16, 1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("want ErrClosed, got %v", err)
+	release := make(chan struct{})
+	wrap, scoring := holdWrap(release)
+	s := New(Config{Workers: 1, Metrics: obs.NewRegistry(), Wrap: wrap})
+
+	type result struct {
+		res *BatchResult
+		err error
+	}
+	align := func(pairs []dna.Pair) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			res, err := s.Align(context.Background(), pairs)
+			done <- result{res, err}
+		}()
+		return done
+	}
+	scored := plantedPairs(32, 8, 16, 1)
+	first := align(scored)
+	<-scoring // the first batch holds the only slot
+	waiting := align(plantedPairs(32, 8, 16, 2))
+	select {
+	case r := <-waiting:
+		t.Fatalf("second Align returned (%v) while the only slot was held", r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	if r := <-waiting; !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("Align waiting for the slot: want ErrClosed, got %v", r.err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a batch was scoring")
+	default:
+	}
+	close(release)
+	r := <-first
+	if r.err != nil {
+		t.Fatalf("batch scoring at Close: %v", r.err)
+	}
+	assertScores(t, r.res.Scores, refScores(scored))
+	<-closed
+	if _, err := s.Align(context.Background(), plantedPairs(32, 8, 16, 3)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Align after Close: want ErrClosed, got %v", err)
 	}
 }
 

@@ -132,62 +132,27 @@ func (s *Snapshot) UnmarshalJSON(b []byte) error {
 }
 
 // Stats is a snapshot of the manager counters, for /statsz and the chaos
-// harnesses.
+// harnesses. The JSON names are the /statsz wire format.
 type Stats struct {
-	Submitted int64 // jobs accepted (excluding dedup hits)
-	DedupHits int64 // submissions answered by an existing job's key
-	Completed int64 // jobs reaching done
-	Failed    int64 // jobs reaching failed
-	Cancelled int64 // jobs reaching cancelled
+	Submitted int64 `json:"submitted"`  // jobs accepted (excluding dedup hits)
+	DedupHits int64 `json:"dedup_hits"` // submissions answered by an existing job's key
+	Completed int64 `json:"completed"`  // jobs reaching done
+	Failed    int64 `json:"failed"`     // jobs reaching failed
+	Cancelled int64 `json:"cancelled"`  // jobs reaching cancelled
 
-	Recovered       int64 // incomplete jobs requeued by startup recovery
-	RecoveredChunks int64 // chunks already checkpointed on those jobs
-	Requeued        int64 // running jobs parked back to queued by drain
+	Recovered       int64 `json:"recovered"`        // incomplete jobs requeued by startup recovery
+	RecoveredChunks int64 `json:"recovered_chunks"` // chunks already checkpointed on those jobs
+	Requeued        int64 `json:"requeued"`         // running jobs parked back to queued by drain
 
-	ChunksExecuted     int64 // chunks actually computed
-	ChunksCheckpointed int64 // chunk records appended to the WAL
-	ChunksSkipped      int64 // checkpointed chunks skipped on resume
-	CacheWarmed        int64 // checkpointed pair scores republished into the score cache at startup
+	ChunksExecuted     int64 `json:"chunks_executed"`     // chunks actually computed
+	ChunksCheckpointed int64 `json:"chunks_checkpointed"` // chunk records appended to the WAL
+	ChunksSkipped      int64 `json:"chunks_skipped"`      // checkpointed chunks skipped on resume
+	CacheWarmed        int64 `json:"cache_warmed"`        // checkpointed pair scores republished into the score cache at startup
 
-	GCDropped int64 // terminal jobs dropped by TTL GC
+	GCDropped int64 `json:"gc_dropped"` // terminal jobs dropped by TTL GC
 
-	Queued    int64 // jobs waiting right now
-	Running   int64 // jobs executing right now
-	JobsHeld  int64 // live jobs in the store
-	MaxQueued int64 // the queue bound
-}
-
-type statsJSON struct {
-	Submitted          int64 `json:"submitted"`
-	DedupHits          int64 `json:"dedup_hits"`
-	Completed          int64 `json:"completed"`
-	Failed             int64 `json:"failed"`
-	Cancelled          int64 `json:"cancelled"`
-	Recovered          int64 `json:"recovered"`
-	RecoveredChunks    int64 `json:"recovered_chunks"`
-	Requeued           int64 `json:"requeued"`
-	ChunksExecuted     int64 `json:"chunks_executed"`
-	ChunksCheckpointed int64 `json:"chunks_checkpointed"`
-	ChunksSkipped      int64 `json:"chunks_skipped"`
-	CacheWarmed        int64 `json:"cache_warmed"`
-	GCDropped          int64 `json:"gc_dropped"`
-	Queued             int64 `json:"queued"`
-	Running            int64 `json:"running"`
-	JobsHeld           int64 `json:"jobs_held"`
-	MaxQueued          int64 `json:"max_queued"`
-}
-
-// MarshalJSON implements the stable wire format described above.
-func (s Stats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(statsJSON(s))
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (s *Stats) UnmarshalJSON(b []byte) error {
-	var in statsJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	*s = Stats(in)
-	return nil
+	Queued    int64 `json:"queued"`     // jobs waiting right now
+	Running   int64 `json:"running"`    // jobs executing right now
+	JobsHeld  int64 `json:"jobs_held"`  // live jobs in the store
+	MaxQueued int64 `json:"max_queued"` // the queue bound
 }

@@ -78,7 +78,6 @@ func TestChaosSoak(t *testing.T) {
 	wrap, failed := chaosStorm(20170529)
 	svc := alignsvc.New(alignsvc.Config{
 		Workers: 4,
-		Queue:   8,
 		Wrap:    wrap,
 	})
 	defer svc.Close()

@@ -85,7 +85,6 @@ func newClusterNodes(t *testing.T, count int, tune func(i int, ccfg *cluster.Con
 		// handoff exist to keep these warm.
 		n.svc = alignsvc.New(alignsvc.Config{
 			Workers: 4,
-			Queue:   64,
 			Cache:   aligncache.New(aligncache.Config{MaxBytes: 16 << 20, Metrics: reg}),
 			Metrics: reg,
 		})

@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, scfg alignsvc.Config, cfg Config) (*Server, *ht
 	return srv, ts
 }
 
-// slowBackend holds its worker slot for hold before scoring, and gives up
+// slowBackend holds its engine slot for hold before scoring, and gives up
 // as soon as the request's context ends.
 type slowBackend struct {
 	alignsvc.Backend
@@ -53,7 +53,7 @@ func (b slowBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alig
 	return b.Backend.AlignBatch(ctx, pairs, opts)
 }
 
-// slowServiceConfig makes every request hold its worker slot for 150 ms
+// slowServiceConfig makes every request hold its engine slot for 150 ms
 // before the scalar reference scores its (tiny) batch in microseconds. The
 // hold is a timer, not CPU, so latency stays stable under -race and busy
 // slots do not starve the test's own clients.
