@@ -62,9 +62,9 @@
 // routes each pair to its owner node for cache locality. A forward is one
 // attempt bounded by -peer-timeout; if it fails the pairs are scored
 // locally. Health probing takes dead peers out of the ring and readmits
-// them when they answer again. On drain the node hands its hot key arcs to
-// the surviving owners. /statsz gains a cluster section and /metricsz
-// cluster_* gauges.
+// them when they answer again. A draining node fails /readyz, so its peers
+// quarantine it and re-home its arcs as they would a dead node's. /statsz
+// gains a cluster section and /metricsz cluster_* gauges.
 package main
 
 import (
@@ -263,8 +263,8 @@ func main() {
 	// The coordinator-free cluster layer: -peers names the other swaserver
 	// processes; a consistent-hash ring over the score-cache content address
 	// routes each pair to its owner node (falling back to local execution on
-	// any peer failure), peer health probes feed ring membership, and drain
-	// hands the hot key set to the surviving owners.
+	// any peer failure), and peer health probes feed ring membership, so a
+	// draining node's failed /readyz takes it out of its peers' rings.
 	var cl *cluster.Cluster
 	if *peers != "" {
 		if *nodeID == "" {

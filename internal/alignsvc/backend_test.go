@@ -252,6 +252,9 @@ func TestCacheSharedAcrossBackends(t *testing.T) {
 	if res3.Report.CacheHits != len(extra) {
 		t.Fatalf("reverse CacheHits = %d, want %d", res3.Report.CacheHits, len(extra))
 	}
+	if res3.Report.Tier != TierStriped {
+		t.Fatalf("a fully cached batch reports tier %v, want the striped backend it asked for", res3.Report.Tier)
+	}
 	assertScores(t, res3.Scores, refScores(extra))
 }
 

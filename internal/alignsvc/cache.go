@@ -69,7 +69,9 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 		}
 	}
 
-	rep := Report{CacheHits: hits}
+	// A batch that dispatches nothing reports the backend it asked for.
+	tier, _ := backendTier(backend) // validated by Align and AlignBackend
+	rep := Report{Tier: tier, CacheHits: hits}
 
 	// Score the uncached remainder as one batch on one engine slot, then
 	// publish each score so every follower (here and in concurrent

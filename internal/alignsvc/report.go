@@ -61,8 +61,8 @@ func ParseTier(s string) (Tier, error) {
 //
 // With the score cache enabled, CacheHits pairs were served from stored
 // scores and CacheCoalesced pairs piggybacked on another batch's in-flight
-// computation; neither group reached a backend. When every pair was served
-// from the cache, Tier carries no information.
+// computation; neither group reached a backend. When no pair reached a
+// backend, Tier names the backend the batch asked for.
 type Report struct {
 	Tier      Tier          // tier whose scores were returned
 	Fallbacks int           // 1 when the backend failed and the CPU reference served, else 0

@@ -18,9 +18,9 @@
 // membership: keys re-home when a node dies and re-home back when it is
 // readmitted. Failed probes and failed forwards both count towards
 // quarantine; a 429 (the peer is alive and shedding) and the end of the
-// caller's context do not. A draining node removes itself from its own ring
-// and hands the hot part of its key space to the new owners (POST
-// /cluster/warm), so a rolling restart does not cold-start the cache.
+// caller's context do not. A draining node fails its /readyz, so its peers
+// quarantine it and re-home its arcs exactly as for a dead node; the new
+// owners recompute its keys, which costs less than shipping its cache.
 //
 // Forwarded requests carry the X-SWA-Forwarded header and are always served
 // locally by the receiver — one hop, never chains — so a stale ring cannot
@@ -57,13 +57,10 @@ const ForwardHeader = "X-SWA-Forwarded"
 const (
 	// replicas is the number of virtual ring points per member.
 	replicas = 64
-	// hotSetSize bounds the recently-served key set kept for drain handoff.
-	hotSetSize = 4096
 
 	defaultPeerTimeout = 5 * time.Second
 	defaultQuarantine  = 3
 	defaultProbeEvery  = time.Second
-	defaultWarmBatch   = 256
 
 	// maxPeerRespBytes bounds how much of a peer response we will buffer;
 	// a misbehaving peer must not be able to balloon our memory.
@@ -102,7 +99,6 @@ func ParsePeers(s string) ([]Peer, error) {
 // *alignsvc.Service satisfies it. Align must be safe for concurrent use.
 type Local interface {
 	Align(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchResult, error)
-	WarmCache(pairs []dna.Pair, scores []int) int
 }
 
 // Config configures a Cluster. NodeID, Local and (for multi-node operation)
@@ -114,7 +110,7 @@ type Config struct {
 	// Peers are the other static members. The ring is built over
 	// NodeID + the IDs of peers currently considered live.
 	Peers []Peer
-	// Local executes batches on this node and accepts warm handoffs.
+	// Local executes batches on this node.
 	Local Local
 	// Scoring and Lanes must match the local service's, so the routing key
 	// equals the aligncache key and forwards land on warm caches.
@@ -130,10 +126,6 @@ type Config struct {
 	// ProbeInterval is how long a quarantined peer waits before a readmission
 	// probe, and the cadence of background health probes (default 1s).
 	ProbeInterval time.Duration
-
-	// WarmBatch bounds how many entries one /cluster/warm POST carries
-	// (default 256).
-	WarmBatch int
 
 	// Metrics, when set, receives the cluster_* counters and gauges.
 	Metrics *obs.Registry
@@ -151,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = defaultProbeEvery
-	}
-	if c.WarmBatch <= 0 {
-		c.WarmBatch = defaultWarmBatch
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -240,11 +229,8 @@ type Cluster struct {
 	ringVersion int64
 	rehomes     int64
 
-	draining atomic.Bool
-	closed   chan struct{}
-	wg       sync.WaitGroup
-
-	hot *hotset
+	closed chan struct{}
+	wg     sync.WaitGroup
 
 	batches         atomic.Int64
 	localPairs      atomic.Int64
@@ -252,9 +238,6 @@ type Cluster struct {
 	fallbackPairs   atomic.Int64
 	forwardedServed atomic.Int64
 	loopRejects     atomic.Int64
-	handoffEntries  atomic.Int64
-	handoffPeers    atomic.Int64
-	warmAccepted    atomic.Int64
 
 	mRing     *obs.Gauge
 	mRingVer  *obs.Gauge
@@ -263,8 +246,6 @@ type Cluster struct {
 	mPeerHits *obs.Counter
 	mServed   *obs.Counter
 	mLoops    *obs.Counter
-	mHandoff  *obs.Counter
-	mWarm     *obs.Counter
 }
 
 // New builds a Cluster and starts its health prober. Close stops it.
@@ -281,7 +262,6 @@ func New(cfg Config) (*Cluster, error) {
 		self:   cfg.NodeID,
 		peers:  make(map[string]*peer, len(cfg.Peers)),
 		closed: make(chan struct{}),
-		hot:    newHotset(hotSetSize),
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == cfg.NodeID {
@@ -314,16 +294,14 @@ func (c *Cluster) initMetrics() {
 	if m == nil {
 		return
 	}
-	m.Help("cluster_ring_members", "Nodes currently in the consistent-hash ring (including self unless draining).")
+	m.Help("cluster_ring_members", "Nodes currently in the consistent-hash ring, including self.")
 	m.Help("cluster_ring_version", "Monotonic ring rebuild counter; each bump re-homes some key arcs.")
-	m.Help("cluster_rehomes_total", "Ring rebuilds caused by membership changes (quarantine, readmission, drain).")
+	m.Help("cluster_rehomes_total", "Ring rebuilds caused by membership changes (quarantine, readmission).")
 	m.Help("cluster_peer_state", "Peer health state (0 healthy, 1 quarantined, 2 probing).")
 	m.Help("cluster_fallbacks_total", "Owner groups served locally after a failed forward.")
 	m.Help("cluster_peer_cache_hits_total", "Cache hits reported by peers for forwarded pairs.")
-	m.Help("cluster_forwarded_served_total", "Forwarded requests this node served for a peer.")
+	m.Help("cluster_forwarded_served_total", "Forwarded requests this node answered 200 for a peer.")
 	m.Help("cluster_loop_rejects_total", "Forwarded requests rejected by the hop guard.")
-	m.Help("cluster_handoff_entries_total", "Hot cache entries pushed to new owners during drain.")
-	m.Help("cluster_warm_accepted_total", "Warm handoff entries accepted from draining peers.")
 	c.mRing = m.Gauge("cluster_ring_members")
 	c.mRingVer = m.Gauge("cluster_ring_version")
 	c.mRehomes = m.Counter("cluster_rehomes_total")
@@ -331,8 +309,6 @@ func (c *Cluster) initMetrics() {
 	c.mPeerHits = m.Counter("cluster_peer_cache_hits_total")
 	c.mServed = m.Counter("cluster_forwarded_served_total")
 	c.mLoops = m.Counter("cluster_loop_rejects_total")
-	c.mHandoff = m.Counter("cluster_handoff_entries_total")
-	c.mWarm = m.Counter("cluster_warm_accepted_total")
 	for _, p := range c.order {
 		p.mState = m.Gauge(obs.L("cluster_peer_state", "peer", p.id))
 		p.mQuar = m.Counter(obs.L("cluster_quarantines_total", "peer", p.id))
@@ -364,13 +340,9 @@ func (c *Cluster) NodeID() string {
 }
 
 // rebuildRingLocked recomputes ring membership from the current health
-// states: self (unless draining) plus every peer not quarantined or probing.
-// Callers hold c.mu.
+// states: self plus every peer not quarantined or probing. Callers hold c.mu.
 func (c *Cluster) rebuildRingLocked() {
-	members := make([]string, 0, len(c.peers)+1)
-	if !c.draining.Load() {
-		members = append(members, c.self)
-	}
+	members := append(make([]string, 0, len(c.peers)+1), c.self)
 	for _, p := range c.order {
 		if p.state == Healthy {
 			members = append(members, p.id)
@@ -458,12 +430,10 @@ func (c *Cluster) Align(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchR
 	}
 	c.batches.Add(1)
 	r := c.currentRing()
-	keys := make([]aligncache.Key, len(pairs))
 	groups := make(map[string][]int, 3)
 	var order []string // first-appearance order, deterministic merge
 	for i, p := range pairs {
-		keys[i] = aligncache.KeyOf(p.X, p.Y, c.cfg.Scoring, c.cfg.Lanes)
-		owner := r.owner(pointOf(keys[i]))
+		owner := r.owner(pointOf(aligncache.KeyOf(p.X, p.Y, c.cfg.Scoring, c.cfg.Lanes)))
 		if owner == c.self {
 			owner = "" // local sentinel: a node that owns a key never forwards it
 		}
@@ -478,43 +448,36 @@ func (c *Cluster) Align(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchR
 		res, err := c.cfg.Local.Align(ctx, pairs)
 		if err == nil {
 			c.localPairs.Add(int64(len(pairs)))
-			c.recordHot(keys, pairs, res.Scores)
 		}
 		return res, err
 	}
 
 	type groupOut struct {
-		scores []int
-		rep    *alignsvc.Report
-		err    error
+		res *alignsvc.BatchResult
+		err error
 	}
 	outs := make([]groupOut, len(order))
 	var wg sync.WaitGroup
 	for gi, owner := range order {
 		idx := groups[owner]
 		sub := make([]dna.Pair, len(idx))
-		subKeys := make([]aligncache.Key, len(idx))
 		for j, i := range idx {
 			sub[j] = pairs[i]
-			subKeys[j] = keys[i]
 		}
 		wg.Add(1)
-		go func(gi int, owner string, sub []dna.Pair, subKeys []aligncache.Key) {
+		go func(gi int, owner string, sub []dna.Pair) {
 			defer wg.Done()
 			if owner == "" {
 				res, err := c.cfg.Local.Align(ctx, sub)
-				if err != nil {
-					outs[gi] = groupOut{err: err}
-					return
+				if err == nil {
+					c.localPairs.Add(int64(len(sub)))
 				}
-				c.localPairs.Add(int64(len(sub)))
-				c.recordHot(subKeys, sub, res.Scores)
-				outs[gi] = groupOut{scores: res.Scores, rep: &res.Report}
+				outs[gi] = groupOut{res, err}
 				return
 			}
-			scores, rep, err := c.alignVia(ctx, owner, sub)
-			outs[gi] = groupOut{scores: scores, rep: rep, err: err}
-		}(gi, owner, sub, subKeys)
+			res, err := c.alignVia(ctx, owner, sub)
+			outs[gi] = groupOut{res, err}
+		}(gi, owner, sub)
 	}
 	wg.Wait()
 
@@ -526,54 +489,45 @@ func (c *Cluster) Align(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchR
 			return nil, o.err
 		}
 		for j, i := range groups[owner] {
-			scores[i] = o.scores[j]
+			scores[i] = o.res.Scores[j]
 		}
-		if o.rep != nil {
-			mergeReport(&merged, o.rep)
+		if gi == 0 {
+			merged.Tier = o.res.Report.Tier
 		}
+		mergeReport(&merged, o.res.Report)
 	}
 	return &alignsvc.BatchResult{Scores: scores, Report: merged}, nil
 }
 
-// mergeReport folds one group's local report into the batch report. Remote
-// groups contribute nothing here (they were served elsewhere); their cache
-// hits are tracked in the cluster stats, not the batch report.
-func mergeReport(dst *alignsvc.Report, src *alignsvc.Report) {
-	// Report the worst tier any local group needed. TierBitwise, the zero
-	// Tier, is the lowest, so the first group needs no special case.
-	if src.Tier > dst.Tier {
-		dst.Tier = src.Tier
-	}
+// mergeReport folds one owner group's report, local or the peer's, into the
+// batch report. A group that fell back makes the batch's tier the
+// reference's.
+func mergeReport(dst *alignsvc.Report, src alignsvc.Report) {
 	dst.Fallbacks += src.Fallbacks
-	if src.Elapsed > dst.Elapsed {
-		dst.Elapsed = src.Elapsed
+	if dst.Fallbacks > 0 {
+		dst.Tier = alignsvc.TierCPU
 	}
+	dst.Elapsed = max(dst.Elapsed, src.Elapsed)
 	dst.CacheHits += src.CacheHits
 	dst.CacheCoalesced += src.CacheCoalesced
 }
 
 // alignVia forwards one owner group to its peer and scores the group
 // locally, once, if the forward fails for any reason but the end of ctx.
-func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) ([]int, *alignsvc.Report, error) {
-	scores, err := c.forward(ctx, c.peers[owner], sub)
+func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) (*alignsvc.BatchResult, error) {
+	res, err := c.forward(ctx, c.peers[owner], sub)
 	if err == nil {
 		c.forwardedPairs.Add(int64(len(sub)))
-		return scores, nil, nil
+		return res, nil
 	}
 	if ctx.Err() != nil {
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
-	// The pairs are not recorded in the hotset: they belong to another
-	// node's arc.
 	c.fallbackPairs.Add(int64(len(sub)))
 	if c.mFallback != nil {
 		c.mFallback.Inc()
 	}
-	res, err := c.cfg.Local.Align(ctx, sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Scores, &res.Report, nil
+	return c.cfg.Local.Align(ctx, sub)
 }
 
 // errShedding marks a forward the peer refused with 429: the peer is alive
@@ -581,22 +535,22 @@ func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) ([
 var errShedding = errors.New("shedding (429)")
 
 // forward sends one owner group to its peer in exactly one HTTP attempt and
-// returns the scores. Success resets the peer's failure streak; a failure
-// advances it unless the peer shed the request or the caller's context
-// ended, where the peer's health is unknown.
-func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, error) {
+// returns the peer's scores and report. Success resets the peer's failure
+// streak; a failure advances it unless the peer shed the request or the
+// caller's context ended, where the peer's health is unknown.
+func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) (*alignsvc.BatchResult, error) {
 	body, err := json.Marshal(c.wireRequest(ctx, sub))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encode forward: %w", err)
 	}
-	scores, err := c.post(ctx, p, body, len(sub))
+	res, err := c.post(ctx, p, body, len(sub))
 	if err == nil {
 		c.noteSuccess(p)
 		p.forwards.Add(1)
 		if p.mFwd != nil {
 			p.mFwd.Inc()
 		}
-		return scores, nil
+		return res, nil
 	}
 	p.forwardErrs.Add(1)
 	if p.mFErr != nil {
@@ -611,9 +565,9 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) ([]int, 
 // wireRequest builds the forwarded /align body, propagating the remaining
 // deadline budget so the peer never works past our own deadline.
 func (c *Cluster) wireRequest(ctx context.Context, sub []dna.Pair) wireAlignReq {
-	req := wireAlignReq{Pairs: make([]WirePair, len(sub))}
+	req := wireAlignReq{Pairs: make([]wirePair, len(sub))}
 	for i, p := range sub {
-		req.Pairs[i] = WirePair{X: p.X.String(), Y: p.Y.String()}
+		req.Pairs[i] = wirePair{X: p.X.String(), Y: p.Y.String()}
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
@@ -627,7 +581,7 @@ func (c *Cluster) wireRequest(ctx context.Context, sub []dna.Pair) wireAlignReq 
 
 // post performs one forward attempt, bounded by PeerTimeout. A 429 comes
 // back as errShedding.
-func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int) ([]int, error) {
+func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int) (*alignsvc.BatchResult, error) {
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, p.url+"/align", bytes.NewReader(body))
@@ -668,35 +622,25 @@ func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int
 			c.mPeerHits.Add(int64(out.Report.CacheHits))
 		}
 	}
-	return out.Scores, nil
+	return &alignsvc.BatchResult{Scores: out.Scores, Report: out.Report}, nil
 }
 
-// WirePair is one (pattern, text) pair as ACGT strings on the peer wire —
-// the same shape as the server's PairJSON, defined here (with the private
-// wireAlignReq/wireAlignResp mirrors of /align) because internal/server
-// imports this package, not the other way round.
-type WirePair struct {
+// wirePair, wireAlignReq and wireAlignResp mirror the server's /align
+// PairJSON, AlignRequest and AlignResponse, because internal/server imports
+// this package, not the other way round.
+type wirePair struct {
 	X string `json:"x"`
 	Y string `json:"y"`
 }
 
 type wireAlignReq struct {
-	Pairs     []WirePair `json:"pairs"`
+	Pairs     []wirePair `json:"pairs"`
 	TimeoutMS int64      `json:"timeout_ms,omitempty"`
 }
 
 type wireAlignResp struct {
-	Scores []int `json:"scores"`
-	Report struct {
-		CacheHits int `json:"cache_hits"`
-	} `json:"report"`
-}
-
-// WarmRequest is the /cluster/warm body: parallel pairs and scores a
-// draining peer hands to the new owner of their arc.
-type WarmRequest struct {
-	Pairs  []WirePair `json:"pairs"`
-	Scores []int      `json:"scores"`
+	Scores []int           `json:"scores"`
+	Report alignsvc.Report `json:"report"`
 }
 
 // prober is the background health loop: it probes live peers at
@@ -769,16 +713,8 @@ func (c *Cluster) probeOne(p *peer) error {
 	return nil
 }
 
-// Draining reports whether BeginDrain has run.
-func (c *Cluster) Draining() bool {
-	if c == nil {
-		return false
-	}
-	return c.draining.Load()
-}
-
-// NoteForwardedServed counts a forwarded request this node served for a
-// peer; the server calls it from the hop guard. Nil-safe.
+// NoteForwardedServed counts a forwarded request this node answered 200 for
+// a peer. Nil-safe.
 func (c *Cluster) NoteForwardedServed() {
 	if c == nil {
 		return
@@ -799,164 +735,4 @@ func (c *Cluster) NoteLoopReject() {
 	if c.mLoops != nil {
 		c.mLoops.Inc()
 	}
-}
-
-// NoteWarmAccepted counts entries accepted from a draining peer's handoff;
-// the server's /cluster/warm handler calls it. Nil-safe.
-func (c *Cluster) NoteWarmAccepted(entries int) {
-	if c == nil || entries <= 0 {
-		return
-	}
-	c.warmAccepted.Add(int64(entries))
-	if c.mWarm != nil {
-		c.mWarm.Add(int64(entries))
-	}
-}
-
-// BeginDrain removes this node from its own ring and hands the hot part of
-// its key space to the new owners: the hotset is re-bucketed under the
-// self-less ring and each bucket is pushed to its owner via /cluster/warm.
-// Best-effort and coordinator-free — peers notice the drain independently
-// through their own probes ( /readyz goes false) and stop forwarding to us.
-func (c *Cluster) BeginDrain(ctx context.Context) {
-	if c == nil || !c.draining.CompareAndSwap(false, true) {
-		return
-	}
-	c.mu.Lock()
-	c.rebuildRingLocked() // self is gone: our arcs re-home to the survivors
-	c.rehomes++
-	if c.mRehomes != nil {
-		c.mRehomes.Inc()
-	}
-	r := c.currentRing()
-	live := make(map[string]*peer, len(c.peers))
-	for id, p := range c.peers {
-		if p.state == Healthy {
-			live[id] = p
-		}
-	}
-	c.mu.Unlock()
-
-	entries := c.hot.snapshot()
-	if len(entries) == 0 || len(live) == 0 || r == nil {
-		return
-	}
-	buckets := make(map[string][]hotEntry, len(live))
-	for _, e := range entries {
-		owner := r.owner(pointOf(e.key))
-		if _, ok := live[owner]; !ok {
-			continue
-		}
-		buckets[owner] = append(buckets[owner], e)
-	}
-	for owner, bucket := range buckets {
-		p := live[owner]
-		sent := 0
-		for start := 0; start < len(bucket); start += c.cfg.WarmBatch {
-			end := min(start+c.cfg.WarmBatch, len(bucket))
-			if err := c.postWarm(ctx, p, bucket[start:end]); err != nil {
-				break // best-effort: the peer can always recompute
-			}
-			sent += end - start
-		}
-		if sent > 0 {
-			c.handoffEntries.Add(int64(sent))
-			c.handoffPeers.Add(1)
-			if c.mHandoff != nil {
-				c.mHandoff.Add(int64(sent))
-			}
-		}
-	}
-}
-
-// postWarm pushes one handoff chunk to the given peer.
-func (c *Cluster) postWarm(ctx context.Context, p *peer, entries []hotEntry) error {
-	req := WarmRequest{Pairs: make([]WirePair, len(entries)), Scores: make([]int, len(entries))}
-	for i, e := range entries {
-		req.Pairs[i] = WirePair{X: e.pair.X.String(), Y: e.pair.Y.String()}
-		req.Scores[i] = e.score
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.PeerTimeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(pctx, http.MethodPost, p.url+"/cluster/warm", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ForwardHeader, c.self)
-	resp, err := c.cfg.Client.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: warm %s: HTTP %d", p.id, resp.StatusCode)
-	}
-	return nil
-}
-
-// recordHot remembers locally-owned served pairs for a future drain handoff.
-func (c *Cluster) recordHot(keys []aligncache.Key, pairs []dna.Pair, scores []int) {
-	if len(pairs) != len(scores) {
-		return
-	}
-	for i := range pairs {
-		c.hot.add(keys[i], pairs[i], scores[i])
-	}
-}
-
-// hotEntry is one recently-served (pair, score) this node owned.
-type hotEntry struct {
-	key   aligncache.Key
-	pair  dna.Pair
-	score int
-}
-
-// hotset is a bounded FIFO-evicting set of recently-served entries, the
-// working set a draining node hands to its successors.
-type hotset struct {
-	mu      sync.Mutex
-	cap     int
-	entries []hotEntry
-	index   map[aligncache.Key]int
-	next    int // FIFO eviction cursor once full
-}
-
-func newHotset(capacity int) *hotset {
-	return &hotset{cap: capacity, index: make(map[aligncache.Key]int, capacity)}
-}
-
-func (h *hotset) add(k aligncache.Key, p dna.Pair, score int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if i, ok := h.index[k]; ok {
-		h.entries[i].score = score
-		return
-	}
-	if len(h.entries) < h.cap {
-		h.entries = append(h.entries, hotEntry{key: k, pair: p, score: score})
-		h.index[k] = len(h.entries) - 1
-		return
-	}
-	delete(h.index, h.entries[h.next].key)
-	h.entries[h.next] = hotEntry{key: k, pair: p, score: score}
-	h.index[k] = h.next
-	h.next = (h.next + 1) % h.cap
-}
-
-func (h *hotset) snapshot() []hotEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]hotEntry(nil), h.entries...)
-}
-
-func (h *hotset) len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.entries)
 }

@@ -21,52 +21,16 @@ import (
 	"repro/internal/swa"
 )
 
-// fakeLocal is a deterministic Local: scores with the exact CPU reference,
-// records every call, and can be told to fail.
-type fakeLocal struct {
-	mu      sync.Mutex
-	calls   int
-	pairs   int
-	warmed  int
-	failErr error
-	delay   time.Duration
-}
+// fakeLocal is a deterministic Local: it scores with the exact CPU
+// reference and reports the striped tier.
+type fakeLocal struct{}
 
 func (f *fakeLocal) Align(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchResult, error) {
-	f.mu.Lock()
-	f.calls++
-	f.pairs += len(pairs)
-	err := f.failErr
-	delay := f.delay
-	f.mu.Unlock()
-	if delay > 0 {
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
 	scores := make([]int, len(pairs))
 	for i, p := range pairs {
 		scores[i] = swa.Score(p.X, p.Y, swa.PaperScoring)
 	}
-	return &alignsvc.BatchResult{Scores: scores, Report: alignsvc.Report{Tier: alignsvc.TierCPU}}, nil
-}
-
-func (f *fakeLocal) WarmCache(pairs []dna.Pair, scores []int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.warmed += len(pairs)
-	return len(pairs)
-}
-
-func (f *fakeLocal) stats() (calls, pairs, warmed int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls, f.pairs, f.warmed
+	return &alignsvc.BatchResult{Scores: scores, Report: alignsvc.Report{Tier: alignsvc.TierStriped}}, nil
 }
 
 func testPairs(t *testing.T, n int) []dna.Pair {
@@ -83,14 +47,13 @@ func wantScores(pairs []dna.Pair) []int {
 	return out
 }
 
-// peerServer is a minimal in-test peer speaking the /align, /readyz and
-// /cluster/warm wire protocol.
+// peerServer is a minimal in-test peer speaking the /align and /readyz wire
+// protocol. Its /align report says the peer fell back to the reference and
+// found every pair in its cache.
 type peerServer struct {
 	t        *testing.T
 	ts       *httptest.Server
 	aligns   atomic.Int64
-	warms    atomic.Int64
-	warmed   atomic.Int64
 	ready    atomic.Bool
 	fail     atomic.Bool  // 500 every /align
 	shed     atomic.Int32 // next N /align answers are 429
@@ -144,7 +107,7 @@ func newPeerServer(t *testing.T) *peerServer {
 		}
 		resp := map[string]any{
 			"scores": scores,
-			"report": map[string]any{"cache_hits": len(scores)},
+			"report": map[string]any{"tier": "cpu", "fallbacks": 1, "cache_hits": len(scores)},
 		}
 		_ = json.NewEncoder(w).Encode(resp)
 	})
@@ -154,20 +117,6 @@ func newPeerServer(t *testing.T) *peerServer {
 			return
 		}
 		fmt.Fprintln(w, `{"ready":true}`)
-	})
-	mux.HandleFunc("/cluster/warm", func(w http.ResponseWriter, r *http.Request) {
-		p.warms.Add(1)
-		var req WarmRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(req.Pairs) != len(req.Scores) {
-			http.Error(w, "mismatch", http.StatusBadRequest)
-			return
-		}
-		p.warmed.Add(int64(len(req.Pairs)))
-		fmt.Fprintf(w, `{"accepted":%d}`, len(req.Pairs))
 	})
 	p.ts = httptest.NewServer(mux)
 	t.Cleanup(p.ts.Close)
@@ -348,9 +297,10 @@ func TestForwardAndMerge(t *testing.T) {
 	if hops, _ := peer.lastHops.Load().(string); hops != "n1" {
 		t.Fatalf("forward must carry one hop %q, got %q", "n1", hops)
 	}
-	// The forwarded pairs must NOT be recorded as our hotset (we don't own them).
-	if got := c.hot.len(); int64(got) != st.LocalPairs {
-		t.Fatalf("hotset has %d entries, want exactly the %d locally-owned", got, st.LocalPairs)
+	// The peer's report merges in: its fallback makes the batch's tier the
+	// reference's, and its cache hits count.
+	if rep := res.Report; rep.Tier != alignsvc.TierCPU || rep.Fallbacks != 1 || int64(rep.CacheHits) != st.ForwardedPairs {
+		t.Fatalf("merged report %s, want cpu with the peer's 1 fallback and %d cache hits", rep, st.ForwardedPairs)
 	}
 }
 
@@ -588,89 +538,6 @@ func TestSlowPeerTimesOutToLocal(t *testing.T) {
 	}
 	if p := st.Peers[0]; p.ConsecFailures != 1 || p.State != Healthy {
 		t.Fatalf("one timed-out forward must count once: %+v", p)
-	}
-}
-
-// --- drain handoff ---
-
-func TestDrainHandsHotKeysToNewOwners(t *testing.T) {
-	peer := newPeerServer(t)
-	local := &fakeLocal{}
-	c := newTestCluster(t, Config{
-		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
-		Peers:         []Peer{{ID: "n2", URL: peer.ts.URL}},
-		ProbeInterval: time.Hour,
-		WarmBatch:     8,
-	})
-	// Serve a batch so the locally-owned pairs populate the hotset.
-	pairs := testPairs(t, 64)
-	if _, err := c.Align(context.Background(), pairs); err != nil {
-		t.Fatal(err)
-	}
-	hot := c.hot.len()
-	if hot == 0 {
-		t.Fatal("no hot entries to hand off")
-	}
-
-	c.BeginDrain(context.Background())
-	if !c.Draining() {
-		t.Fatal("not draining after BeginDrain")
-	}
-	st := c.Stats()
-	if st.HandoffEntries != int64(hot) {
-		t.Fatalf("handed off %d of %d hot entries", st.HandoffEntries, hot)
-	}
-	if got := peer.warmed.Load(); got != int64(hot) {
-		t.Fatalf("peer accepted %d of %d entries", got, hot)
-	}
-	if peer.warms.Load() < int64(hot/8) {
-		t.Fatalf("handoff should chunk by WarmBatch: %d POSTs for %d entries", peer.warms.Load(), hot)
-	}
-	// The self-less ring: everything now routes to n2 or runs locally as
-	// fallback; our own ID is gone.
-	for _, m := range st.RingMembers {
-		if m == "n1" {
-			t.Fatal("draining node still in its own ring")
-		}
-	}
-	// Second BeginDrain is a no-op.
-	c.BeginDrain(context.Background())
-	if got := c.Stats().HandoffEntries; got != st.HandoffEntries {
-		t.Fatal("double drain handed off twice")
-	}
-}
-
-// --- hotset ---
-
-func TestHotsetBoundsAndEvicts(t *testing.T) {
-	h := newHotset(4)
-	mk := func(i int) (aligncache.Key, dna.Pair) {
-		p := dna.Pair{X: dna.MustParse("ACGT"), Y: dna.MustParse("ACGTACGT")}
-		var k aligncache.Key
-		k[0] = byte(i)
-		return k, p
-	}
-	for i := 0; i < 10; i++ {
-		k, p := mk(i)
-		h.add(k, p, i)
-	}
-	if h.len() != 4 {
-		t.Fatalf("hotset grew to %d, cap 4", h.len())
-	}
-	// Re-adding an existing key updates, not duplicates.
-	k, p := mk(9)
-	h.add(k, p, 99)
-	if h.len() != 4 {
-		t.Fatalf("duplicate add changed size to %d", h.len())
-	}
-	found := false
-	for _, e := range h.snapshot() {
-		if e.key == k && e.score == 99 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("update lost")
 	}
 }
 

@@ -5,7 +5,6 @@ package cluster
 // current membership view.
 type Stats struct {
 	NodeID      string   `json:"node_id"`
-	Draining    bool     `json:"draining"`
 	RingMembers []string `json:"ring_members"`
 	RingVersion int64    `json:"ring_version"`
 	Rehomes     int64    `json:"rehomes"` // membership changes that moved key arcs
@@ -16,13 +15,8 @@ type Stats struct {
 	FallbackPairs  int64 `json:"fallback_pairs"`  // peer-owned pairs served locally after a failed forward
 	PeerCacheHits  int64 `json:"peer_cache_hits"` // cache hits peers reported for our forwards
 
-	ForwardedServed int64 `json:"forwarded_served"` // forwarded requests we served for peers
+	ForwardedServed int64 `json:"forwarded_served"` // forwarded requests we answered 200 for peers
 	LoopRejects     int64 `json:"loop_rejects"`     // forwards rejected by the hop guard
-
-	HotSetEntries  int64 `json:"hotset_entries"`  // entries staged for a drain handoff
-	HandoffEntries int64 `json:"handoff_entries"` // entries pushed to new owners at drain
-	HandoffPeers   int64 `json:"handoff_peers"`   // peers that received a handoff
-	WarmAccepted   int64 `json:"warm_accepted"`   // handoff entries accepted from draining peers
 
 	Peers []PeerSnapshot `json:"peers"`
 }
@@ -50,17 +44,12 @@ func (c *Cluster) Stats() Stats {
 	}
 	st := Stats{
 		NodeID:          c.self,
-		Draining:        c.draining.Load(),
 		Batches:         c.batches.Load(),
 		LocalPairs:      c.localPairs.Load(),
 		ForwardedPairs:  c.forwardedPairs.Load(),
 		FallbackPairs:   c.fallbackPairs.Load(),
 		ForwardedServed: c.forwardedServed.Load(),
 		LoopRejects:     c.loopRejects.Load(),
-		HotSetEntries:   int64(c.hot.len()),
-		HandoffEntries:  c.handoffEntries.Load(),
-		HandoffPeers:    c.handoffPeers.Load(),
-		WarmAccepted:    c.warmAccepted.Load(),
 	}
 	c.mu.Lock()
 	st.RingMembers = append([]string(nil), c.currentRing().members()...)

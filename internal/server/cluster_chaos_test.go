@@ -62,8 +62,8 @@ func (n *clusterNode) revive() { n.dead.Store(false) }
 // newClusterNodes stands up count nodes that know each other by static
 // membership. Listeners are created first so every node can be configured
 // with the others' URLs before any handler is live. tune, when set, adjusts
-// node i's cluster and server configs before they are built.
-func newClusterNodes(t *testing.T, count int, tune func(i int, ccfg *cluster.Config, scfg *Config)) []*clusterNode {
+// node i's service, cluster and server configs before they are built.
+func newClusterNodes(t *testing.T, count int, tune func(i int, acfg *alignsvc.Config, ccfg *cluster.Config, scfg *Config)) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, count)
 	for i := range nodes {
@@ -81,26 +81,22 @@ func newClusterNodes(t *testing.T, count int, tune func(i int, ccfg *cluster.Con
 		// Capacity matters: every client batch can fan out into forwarded
 		// sub-requests at the peers, so queues must absorb both direct and
 		// forwarded traffic or the nodes shed each other into a 429 storm.
-		// Each node has a score cache — key-affinity routing and the drain
-		// handoff exist to keep these warm.
-		n.svc = alignsvc.New(alignsvc.Config{
+		// Each node has a score cache — key-affinity routing exists to keep
+		// these warm.
+		acfg := alignsvc.Config{
 			Workers: 4,
 			Cache:   aligncache.New(aligncache.Config{MaxBytes: 16 << 20, Metrics: reg}),
 			Metrics: reg,
-		})
+		}
 		ccfg := cluster.Config{
 			NodeID:          n.id,
 			Peers:           peers,
-			Local:           n.svc,
-			Scoring:         n.svc.Scoring(),
-			Lanes:           n.svc.Lanes(),
 			PeerTimeout:     750 * time.Millisecond,
 			ProbeInterval:   50 * time.Millisecond,
 			QuarantineAfter: 2,
 			Metrics:         reg,
 		}
 		scfg := Config{
-			Service:     n.svc,
 			MaxInFlight: 16,
 			MaxQueued:   32,
 			MaxPairs:    64,
@@ -108,8 +104,11 @@ func newClusterNodes(t *testing.T, count int, tune func(i int, ccfg *cluster.Con
 			Metrics:     reg,
 		}
 		if tune != nil {
-			tune(i, &ccfg, &scfg)
+			tune(i, &acfg, &ccfg, &scfg)
 		}
+		n.svc = alignsvc.New(acfg)
+		ccfg.Local, ccfg.Scoring, ccfg.Lanes = n.svc, n.svc.Scoring(), n.svc.Lanes()
+		scfg.Service = n.svc
 		cl, err := cluster.New(ccfg)
 		if err != nil {
 			t.Fatalf("cluster.New(%s): %v", n.id, err)
@@ -183,8 +182,8 @@ func waitForPeerState(base, id string, want cluster.State) error {
 // no graceful refusal) and every response must still be exact scores or a
 // typed error; aggregate throughput on the survivors must hold ≥60% of the
 // three-node baseline; the killed node must be quarantined out of the ring,
-// then readmitted after revival; and a second node must drain cleanly,
-// handing its hot keys to the new owners. Runs in CI under -race.
+// then readmitted after revival; and a second node must drain cleanly and
+// be quarantined by its peers. Runs in CI under -race.
 func TestClusterChaosSoak(t *testing.T) {
 	nodes := newClusterNodes(t, 3, nil)
 	n0, n1, n2 := nodes[0], nodes[1], nodes[2]
@@ -336,15 +335,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	t.Logf("soak: baseline=%d degraded=%d ok=%d errored=%d n0=%+v",
 		baseline, degraded, okCount.Load(), erroredCount.Load(), st0)
 
-	// Clean drain of a second node: n1 hands its hot keys to the new owners
-	// and flips unready; the handoff needs no coordinator.
-	st1Before, err := clusterStatsOf(n1.ts.URL)
-	if err != nil {
-		t.Fatalf("statsz n1: %v", err)
-	}
-	if st1Before.HotSetEntries == 0 {
-		t.Fatal("n1 served traffic but staged no hot keys for handoff")
-	}
+	// Clean drain of a second node: n1 flips unready, and its peers' probes
+	// quarantine it and re-home its arcs, as for a dead node.
 	n1.srv.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -359,28 +351,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining n1 /readyz = %d, want 503", resp.StatusCode)
 	}
-	st1, err = clusterStatsOf(n1.ts.URL)
-	if err != nil {
-		t.Fatalf("statsz n1: %v", err)
-	}
-	if !st1.Draining || st1.HandoffEntries == 0 || st1.HandoffPeers == 0 {
-		t.Fatalf("drain handoff did not run: %+v", st1)
-	}
-	for _, m := range st1.RingMembers {
-		if m == "n1" {
-			t.Fatalf("draining node still in its own ring: %v", st1.RingMembers)
-		}
-	}
-	accepted := int64(0)
-	for _, n := range []*clusterNode{n0, n2} {
-		st, err := clusterStatsOf(n.ts.URL)
-		if err != nil {
-			t.Fatalf("statsz %s: %v", n.id, err)
-		}
-		accepted += st.WarmAccepted
-	}
-	if accepted == 0 {
-		t.Fatal("no node accepted n1's warm handoff")
+	if err := waitForPeerState(n0.ts.URL, "n1", cluster.Quarantined); err != nil {
+		t.Fatalf("n0 never quarantined the drained n1: %v", err)
 	}
 }
 
@@ -392,7 +364,7 @@ func TestClusterChaosSoak(t *testing.T) {
 // entry node scores the peer's pairs locally instead of waiting, and the
 // refusals must not count against the peer's health.
 func TestClusterRefusedForwardServesLocally(t *testing.T) {
-	nodes := newClusterNodes(t, 2, func(i int, ccfg *cluster.Config, scfg *Config) {
+	nodes := newClusterNodes(t, 2, func(i int, _ *alignsvc.Config, ccfg *cluster.Config, scfg *Config) {
 		ccfg.PeerTimeout = 5 * time.Second // swaserver's -peer-timeout default
 		reg, err := tenant.NewRegistry(tenant.Config{
 			Anonymous: &tenant.Limits{RPS: 0.01, Burst: 1},
@@ -435,9 +407,169 @@ func TestClusterRefusedForwardServesLocally(t *testing.T) {
 	if last.ForwardedPairs == 0 {
 		t.Fatalf("the first request forwarded nothing: %+v", last)
 	}
-	if p := findPeer(&last, "n1"); p == nil || p.State != cluster.Healthy {
+	p := findPeer(&last, "n1")
+	if p == nil || p.State != cluster.Healthy {
 		t.Fatalf("429s moved the peer's health: %+v", p)
 	}
+	// The owner counts only the forwards it answered, not the ones it
+	// refused.
+	owner, err := clusterStatsOf(nodes[1].ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner.ForwardedServed != p.Forwards {
+		t.Fatalf("owner forwarded_served = %d, want the entry's %d answered forwards",
+			owner.ForwardedServed, p.Forwards)
+	}
+}
+
+// TestDrainDoesNotContactPeers pins that a draining node leaves the cluster
+// by failing /readyz alone. Its only peer passes /readyz but never answers
+// anything else, so any drain-time request to it would hold BeginDrain for
+// the whole PeerTimeout.
+func TestDrainDoesNotContactPeers(t *testing.T) {
+	var contacted atomic.Int64 // requests other than /readyz
+	hung := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			fmt.Fprintln(w, `{"ready":true}`)
+			return
+		}
+		contacted.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-hung:
+		}
+	}))
+	t.Cleanup(peer.Close)
+	t.Cleanup(func() { close(hung) })
+
+	reg := obs.NewRegistry()
+	svc := alignsvc.New(alignsvc.Config{
+		Cache:   aligncache.New(aligncache.Config{MaxBytes: 1 << 20, Metrics: reg}),
+		Metrics: reg,
+	})
+	cl, err := cluster.New(cluster.Config{
+		NodeID:        "n0",
+		Peers:         []cluster.Peer{{ID: "n1", URL: peer.URL}},
+		Local:         svc,
+		Scoring:       svc.Scoring(),
+		Lanes:         svc.Lanes(),
+		PeerTimeout:   2 * time.Second,
+		ProbeInterval: 50 * time.Millisecond,
+		Metrics:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Service: svc, Cluster: cl, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		cl.Close()
+		svc.Close()
+	})
+
+	// One batch: the node scores its own pairs, and the peer's pairs after
+	// the hung forward times out.
+	pairs, want := testPairs(16, 8, 24, 31)
+	status, raw := postAlign(t, ts.URL, AlignRequest{Pairs: pairsJSON(pairs)})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	var res AlignResponse
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Scores, want) {
+		t.Fatalf("scores %v, want %v", res.Scores, want)
+	}
+
+	before := contacted.Load()
+	begin := time.Now()
+	srv.BeginDrain()
+	if elapsed := time.Since(begin); elapsed >= 500*time.Millisecond {
+		t.Fatalf("BeginDrain took %v", elapsed)
+	}
+	if got := contacted.Load() - before; got != 0 {
+		t.Fatalf("BeginDrain sent the peer %d request(s)", got)
+	}
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining /readyz = %d, want 503", resp.StatusCode)
+	}
+	// No node takes a drain handoff either.
+	resp, err = http.Post(ts.URL+"/cluster/warm", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /cluster/warm = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterForwardedReportIsThePeers pins the report of a batch whose
+// pairs were all forwarded: it is the owner's report, so it names the
+// striped engine that scored the batch and its elapsed time, and on a
+// repeat it counts the owner's cache hits.
+func TestClusterForwardedReportIsThePeers(t *testing.T) {
+	nodes := newClusterNodes(t, 2, func(_ int, acfg *alignsvc.Config, _ *cluster.Config, _ *Config) {
+		acfg.Backend = alignsvc.BackendStriped
+	})
+	for i, n := range nodes {
+		if err := waitForPeerState(n.ts.URL, nodes[1-i].id, cluster.Healthy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := nodes[0].ts.URL
+	// A one-pair batch is either all local or all forwarded.
+	for seed := uint64(0); seed < 64; seed++ {
+		before, err := clusterStatsOf(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, want := testPairs(1, 8, 24, 900+seed)
+		req := AlignRequest{Pairs: pairsJSON(pairs)}
+		status, raw := postAlign(t, entry, req)
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, raw)
+		}
+		after, err := clusterStatsOf(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.ForwardedPairs == before.ForwardedPairs {
+			continue // owned by the entry node; try another pair
+		}
+		var res AlignResponse
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Scores, want) {
+			t.Fatalf("scores %v, want %v", res.Scores, want)
+		}
+		if res.Report.Tier != alignsvc.TierStriped || res.Report.Elapsed <= 0 {
+			t.Fatalf("forwarded batch report %s, elapsed %v: want striped with the owner's elapsed time",
+				res.Report, res.Report.Elapsed)
+		}
+		_, raw = postAlign(t, entry, req)
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.Tier != alignsvc.TierStriped || res.Report.CacheHits != 1 {
+			t.Fatalf("repeated forwarded batch report %s: want striped with the owner's 1 cache hit", res.Report)
+		}
+		return
+	}
+	t.Fatal("no one-pair batch was forwarded")
 }
 
 // TestForwardLoopGuard is the stale-ring containment contract: a forwarded

@@ -95,10 +95,10 @@ type Config struct {
 	Corpora *corpus.Registry
 	// Cluster, when set, routes non-forwarded align batches through the
 	// coordinator-free peer layer (consistent-hash ownership with local
-	// fallback), mounts POST /cluster/warm for drain handoffs, enforces the
-	// X-SWA-Forwarded hop guard, and adds a cluster section to /statsz.
-	// BeginDrain then also hands the hot key set to the new owners. The
-	// server does not own the cluster: callers Close it themselves.
+	// fallback), enforces the X-SWA-Forwarded hop guard, and adds a cluster
+	// section to /statsz. A draining server fails /readyz, which is how its
+	// peers learn to route around it. The server does not own the cluster:
+	// callers Close it themselves.
 	Cluster *cluster.Cluster
 }
 
@@ -321,9 +321,6 @@ func New(cfg Config) (*Server, error) {
 	s.obs.Help("tenant_inflight", "Execution slots held right now, by tenant.")
 	s.obs.Help("tenant_queued", "Admission waiters right now, by tenant.")
 	s.mux.Handle("/align", s.instrument("align", s.handleAlign))
-	if cfg.Cluster != nil {
-		s.mux.Handle("/cluster/warm", s.instrument("cluster_warm", s.handleClusterWarm))
-	}
 	if cfg.Jobs != nil {
 		s.mux.Handle("/jobs", s.instrument("jobs", s.handleJobs))
 		s.mux.Handle("/jobs/", s.instrument("jobs_id", s.handleJob))
@@ -394,12 +391,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // than once.
 func (s *Server) BeginDrain() {
 	s.drainOnce()
-	if s.cfg.Cluster != nil {
-		// Coordinator-free handoff: leave our own ring and push the hot key
-		// set to the new owners, so peers take over warm. /readyz is already
-		// false at this point, so peer probes quarantine us independently.
-		s.cfg.Cluster.BeginDrain(context.Background())
-	}
 	if s.cfg.Jobs != nil {
 		s.cfg.Jobs.BeginDrain()
 	}
@@ -553,7 +544,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			forwarded = true
-			cl.NoteForwardedServed()
 		}
 	}
 
@@ -617,6 +607,9 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.completed.Add(1)
+	if forwarded {
+		s.cfg.Cluster.NoteForwardedServed()
+	}
 	writeJSON(w, http.StatusOK, AlignResponse{Scores: res.Scores, Report: res.Report})
 }
 
@@ -651,56 +644,6 @@ func hopsContain(hops []string, id string) bool {
 		}
 	}
 	return false
-}
-
-// handleClusterWarm accepts a drain handoff: parallel pairs and scores from
-// a peer that owned them until it left the ring. The entries land in the
-// score cache (best-effort, bounded by the cache's own limits), so the new
-// owner starts warm. Accepted while draining too — a late handoff is
-// harmless and the entries may still serve forwarded traffic.
-func (s *Server) handleClusterWarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, r, http.StatusMethodNotAllowed, CodeBadRequest, "POST only")
-		return
-	}
-	var req cluster.WarmRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad JSON: %v", err))
-		return
-	}
-	if len(req.Pairs) != len(req.Scores) {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("%d pairs but %d scores", len(req.Pairs), len(req.Scores)))
-		return
-	}
-	// Unlike /align, a warm batch need not be shape-uniform and is not
-	// held to MaxPairs: it is a cache payload, not a pipeline batch, and
-	// MaxBodyBytes already bounds it. (Senders chunk by their own WarmBatch
-	// size, which they cannot assume matches this node's align cap.)
-	pairs := make([]dna.Pair, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if len(p.X) == 0 || len(p.Y) > s.cfg.MaxSeqLen || len(p.X) > len(p.Y) {
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("entry %d has shape (%d,%d)", i, len(p.X), len(p.Y)))
-			return
-		}
-		x, err := dna.Parse(p.X)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("entry %d pattern: %v", i, err))
-			return
-		}
-		y, err := dna.Parse(p.Y)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("entry %d text: %v", i, err))
-			return
-		}
-		pairs[i] = dna.Pair{X: x, Y: y}
-	}
-	n := s.cfg.Service.WarmCache(pairs, req.Scores)
-	s.cfg.Cluster.NoteWarmAccepted(n)
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": n})
 }
 
 // parseRequest decodes, bounds and validates the request body, returning
