@@ -61,10 +61,11 @@
 // service: a consistent-hash ring over the score-cache content address
 // routes each pair to its owner node for cache locality. A forward is one
 // attempt bounded by -peer-timeout; if it fails the pairs are scored
-// locally. Health probing takes dead peers out of the ring and readmits
-// them when they answer again. A draining node fails /readyz, so its peers
-// quarantine it and re-home its arcs as they would a dead node's. /statsz
-// gains a cluster section and /metricsz cluster_* gauges.
+// locally. A failed forward or /readyz probe quarantines a peer out of the
+// ring at once, and its next passing probe readmits it. A draining node
+// fails /readyz and refuses forwards with 503, so its peers quarantine it
+// and re-home its arcs as they would a dead node's. /statsz gains a cluster
+// section and /metricsz cluster_* gauges.
 package main
 
 import (
@@ -106,7 +107,7 @@ func main() {
 	nodeID := flag.String("node-id", "", "this node's stable cluster identity (required with -peers)")
 	peers := flag.String("peers", "", "static cluster peers as id=url,id=url (empty = single node, no cluster)")
 	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "deadline for one forward or health probe")
-	peerProbeInterval := flag.Duration("peer-probe-interval", time.Second, "peer health-probe cadence and quarantine cooldown")
+	peerProbeInterval := flag.Duration("peer-probe-interval", time.Second, "cadence of each peer's /readyz health probe")
 
 	inflight := flag.Int("inflight", 0, "max align requests executing concurrently (0 = 2×GOMAXPROCS)")
 	queued := flag.Int("queued", 0, "max align requests waiting for a slot before 429 (0 = inflight)")
@@ -263,8 +264,9 @@ func main() {
 	// The coordinator-free cluster layer: -peers names the other swaserver
 	// processes; a consistent-hash ring over the score-cache content address
 	// routes each pair to its owner node (falling back to local execution on
-	// any peer failure), and peer health probes feed ring membership, so a
-	// draining node's failed /readyz takes it out of its peers' rings.
+	// any peer failure), and a failed forward or health probe takes a peer
+	// out of the ring, so a draining node leaves its peers' rings at its
+	// first 503 or failed /readyz.
 	var cl *cluster.Cluster
 	if *peers != "" {
 		if *nodeID == "" {
@@ -282,7 +284,6 @@ func main() {
 			Lanes:         svc.Lanes(),
 			PeerTimeout:   *peerTimeout,
 			ProbeInterval: *peerProbeInterval,
-			Metrics:       obs.Default(),
 		})
 		cli.Check(err)
 		log.Printf("swaserver: cluster enabled: node %s with %d peer(s), probe every %v",

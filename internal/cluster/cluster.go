@@ -14,12 +14,14 @@
 // locally, once. A peer failure is a performance event, never a correctness
 // event.
 //
-// Peer health is probed (healthy → quarantined → probing) and feeds ring
-// membership: keys re-home when a node dies and re-home back when it is
-// readmitted. Failed probes and failed forwards both count towards
-// quarantine; a 429 (the peer is alive and shedding) and the end of the
-// caller's context do not. A draining node fails its /readyz, so its peers
-// quarantine it and re-home its arcs exactly as for a dead node; the new
+// Peer health is one bit, healthy or quarantined, and it is ring
+// membership: a failed /readyz probe or a failed forward quarantines the
+// peer at once, re-homing its keys, and its next passing probe readmits it,
+// re-homing them back. A 429 (the peer is alive and shedding) and the end
+// of the caller's context leave health alone. Each peer is probed on its
+// own loop, so a hung probe delays no other peer. A draining node fails its
+// /readyz and answers forwards with 503, so its peers quarantine it at the
+// first of either and re-home its arcs exactly as for a dead node; the new
 // owners recompute its keys, which costs less than shipping its cache.
 //
 // Forwarded requests carry the X-SWA-Forwarded header and are always served
@@ -59,7 +61,6 @@ const (
 	replicas = 64
 
 	defaultPeerTimeout = 5 * time.Second
-	defaultQuarantine  = 3
 	defaultProbeEvery  = time.Second
 
 	// maxPeerRespBytes bounds how much of a peer response we will buffer;
@@ -119,15 +120,12 @@ type Config struct {
 
 	// PeerTimeout bounds one forward and one health probe (default 5s).
 	PeerTimeout time.Duration
-
-	// QuarantineAfter is how many consecutive failures take a peer out of
-	// the ring (default 3).
-	QuarantineAfter int
-	// ProbeInterval is how long a quarantined peer waits before a readmission
-	// probe, and the cadence of background health probes (default 1s).
+	// ProbeInterval is the cadence of each peer's /readyz probe (default
+	// 1s). A quarantined peer is readmitted by its first passing probe.
 	ProbeInterval time.Duration
 
-	// Metrics, when set, receives the cluster_* counters and gauges.
+	// Metrics receives the cluster_* counters and gauges (default
+	// obs.Default()).
 	Metrics *obs.Registry
 	// Client is the HTTP client used for forwards and probes (a seam for
 	// tests; defaults to a dedicated client with sane pooling).
@@ -138,11 +136,11 @@ func (c Config) withDefaults() Config {
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = defaultPeerTimeout
 	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = defaultQuarantine
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = defaultProbeEvery
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.Default()
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -153,22 +151,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is one peer's health state: a failure streak quarantines a peer,
-// and after the probe cooldown a successful probe readmits it.
+// State is one peer's health: a failed probe or forward quarantines a
+// peer, and its next passing probe readmits it.
 type State int
 
 const (
 	// Healthy peers are ring members and receive forwards.
 	Healthy State = iota
 	// Quarantined peers are out of the ring — their keys have re-homed —
-	// until the probe cooldown elapses.
+	// until a probe passes.
 	Quarantined
-	// Probing peers are being health-checked for readmission; still out of
-	// the ring until the probe succeeds.
-	Probing
 )
 
-var stateNames = [...]string{"healthy", "quarantined", "probing"}
+var stateNames = [...]string{"healthy", "quarantined"}
 
 func (s State) String() string {
 	if s < 0 || int(s) >= len(stateNames) {
@@ -197,13 +192,10 @@ type peer struct {
 
 	// health fields are guarded by the Cluster's mu (membership changes
 	// must atomically rebuild the ring).
-	state         State
-	consec        int
-	lastErr       string
-	quarantinedAt time.Time
-	lastProbe     time.Time
-	quarantines   int64
-	readmissions  int64
+	state        State
+	lastErr      string
+	quarantines  int64
+	readmissions int64
 
 	forwards      atomic.Int64 // forward calls answered by this peer
 	forwardErrs   atomic.Int64 // forward calls that failed (transport/HTTP)
@@ -227,10 +219,9 @@ type Cluster struct {
 	order       []*peer          // deterministic iteration for stats
 	ring        atomic.Pointer[ring]
 	ringVersion int64
-	rehomes     int64
 
-	closed chan struct{}
-	wg     sync.WaitGroup
+	stop context.CancelFunc // ends the probe loops and their probes
+	wg   sync.WaitGroup
 
 	batches         atomic.Int64
 	localPairs      atomic.Int64
@@ -241,14 +232,13 @@ type Cluster struct {
 
 	mRing     *obs.Gauge
 	mRingVer  *obs.Gauge
-	mRehomes  *obs.Counter
 	mFallback *obs.Counter
 	mPeerHits *obs.Counter
 	mServed   *obs.Counter
 	mLoops    *obs.Counter
 }
 
-// New builds a Cluster and starts its health prober. Close stops it.
+// New builds a Cluster and starts one probe loop per peer. Close stops them.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NodeID == "" {
@@ -258,10 +248,9 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, errors.New("cluster: Local is required")
 	}
 	c := &Cluster{
-		cfg:    cfg,
-		self:   cfg.NodeID,
-		peers:  make(map[string]*peer, len(cfg.Peers)),
-		closed: make(chan struct{}),
+		cfg:   cfg,
+		self:  cfg.NodeID,
+		peers: make(map[string]*peer, len(cfg.Peers)),
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == cfg.NodeID {
@@ -282,29 +271,26 @@ func New(cfg Config) (*Cluster, error) {
 	c.mu.Lock()
 	c.rebuildRingLocked()
 	c.mu.Unlock()
-	if len(c.peers) > 0 {
+	ctx, stop := context.WithCancel(context.Background())
+	c.stop = stop
+	for _, p := range c.order {
 		c.wg.Add(1)
-		go c.prober()
+		go c.probeLoop(ctx, p)
 	}
 	return c, nil
 }
 
 func (c *Cluster) initMetrics() {
 	m := c.cfg.Metrics
-	if m == nil {
-		return
-	}
 	m.Help("cluster_ring_members", "Nodes currently in the consistent-hash ring, including self.")
 	m.Help("cluster_ring_version", "Monotonic ring rebuild counter; each bump re-homes some key arcs.")
-	m.Help("cluster_rehomes_total", "Ring rebuilds caused by membership changes (quarantine, readmission).")
-	m.Help("cluster_peer_state", "Peer health state (0 healthy, 1 quarantined, 2 probing).")
+	m.Help("cluster_peer_state", "Peer health state (0 healthy, 1 quarantined).")
 	m.Help("cluster_fallbacks_total", "Owner groups served locally after a failed forward.")
 	m.Help("cluster_peer_cache_hits_total", "Cache hits reported by peers for forwarded pairs.")
 	m.Help("cluster_forwarded_served_total", "Forwarded requests this node answered 200 for a peer.")
 	m.Help("cluster_loop_rejects_total", "Forwarded requests rejected by the hop guard.")
 	c.mRing = m.Gauge("cluster_ring_members")
 	c.mRingVer = m.Gauge("cluster_ring_version")
-	c.mRehomes = m.Counter("cluster_rehomes_total")
 	c.mFallback = m.Counter("cluster_fallbacks_total")
 	c.mPeerHits = m.Counter("cluster_peer_cache_hits_total")
 	c.mServed = m.Counter("cluster_forwarded_served_total")
@@ -318,16 +304,13 @@ func (c *Cluster) initMetrics() {
 	}
 }
 
-// Close stops the prober. In-flight Aligns finish normally.
+// Close stops the probe loops, aborting any probe in flight. In-flight
+// Aligns finish normally.
 func (c *Cluster) Close() {
 	if c == nil {
 		return
 	}
-	select {
-	case <-c.closed:
-	default:
-		close(c.closed)
-	}
+	c.stop()
 	c.wg.Wait()
 }
 
@@ -340,7 +323,7 @@ func (c *Cluster) NodeID() string {
 }
 
 // rebuildRingLocked recomputes ring membership from the current health
-// states: self plus every peer not quarantined or probing. Callers hold c.mu.
+// states: self plus every healthy peer. Callers hold c.mu.
 func (c *Cluster) rebuildRingLocked() {
 	members := append(make([]string, 0, len(c.peers)+1), c.self)
 	for _, p := range c.order {
@@ -350,71 +333,35 @@ func (c *Cluster) rebuildRingLocked() {
 	}
 	c.ring.Store(buildRing(members))
 	c.ringVersion++
-	if c.mRing != nil {
-		c.mRing.Set(float64(len(members)))
-		c.mRingVer.Set(float64(c.ringVersion))
-	}
+	c.mRing.Set(float64(len(members)))
+	c.mRingVer.Set(float64(c.ringVersion))
 }
 
-// setStateLocked moves a peer's health state, exporting the gauge.
-func (c *Cluster) setStateLocked(p *peer, to State) {
+// mark sets a peer's health from one probe or forward outcome: an error
+// quarantines a healthy peer and nil readmits a quarantined one. Either
+// move rebuilds the ring, re-homing the peer's arcs.
+func (c *Cluster) mark(p *peer, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	to := Healthy
+	p.lastErr = ""
+	if err != nil {
+		to = Quarantined
+		p.lastErr = err.Error()
+	}
 	if p.state == to {
 		return
 	}
 	p.state = to
-	if p.mState != nil {
-		p.mState.Set(float64(to))
-	}
-}
-
-// noteSuccess resets a peer's failure streak; quarantined/probing peers are
-// readmitted and the ring re-homes their arcs back.
-func (c *Cluster) noteSuccess(p *peer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p.consec = 0
-	p.lastErr = ""
-	if p.state != Healthy {
-		c.setStateLocked(p, Healthy)
-		p.readmissions++
-		if p.mRead != nil {
-			p.mRead.Inc()
-		}
-		c.rehomes++
-		if c.mRehomes != nil {
-			c.mRehomes.Inc()
-		}
-		c.rebuildRingLocked()
-	}
-}
-
-// noteFailure advances a peer's failure streak through the health machine;
-// crossing the quarantine threshold removes it from the ring (keys re-home).
-func (c *Cluster) noteFailure(p *peer, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p.consec++
-	if err != nil {
-		p.lastErr = err.Error()
-	}
-	switch {
-	case p.state == Healthy && p.consec >= c.cfg.QuarantineAfter:
-		c.setStateLocked(p, Quarantined)
-		p.quarantinedAt = time.Now()
+	p.mState.Set(float64(to))
+	if to == Quarantined {
 		p.quarantines++
-		if p.mQuar != nil {
-			p.mQuar.Inc()
-		}
-		c.rehomes++
-		if c.mRehomes != nil {
-			c.mRehomes.Inc()
-		}
-		c.rebuildRingLocked()
-	case p.state == Probing:
-		// Failed readmission probe: back to quarantine, restart cooldown.
-		c.setStateLocked(p, Quarantined)
-		p.quarantinedAt = time.Now()
+		p.mQuar.Inc()
+	} else {
+		p.readmissions++
+		p.mRead.Inc()
 	}
+	c.rebuildRingLocked()
 }
 
 // currentRing returns the live ring snapshot (nil means "all local").
@@ -524,9 +471,7 @@ func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) (*
 		return nil, ctx.Err()
 	}
 	c.fallbackPairs.Add(int64(len(sub)))
-	if c.mFallback != nil {
-		c.mFallback.Inc()
-	}
+	c.mFallback.Inc()
 	return c.cfg.Local.Align(ctx, sub)
 }
 
@@ -535,9 +480,9 @@ func (c *Cluster) alignVia(ctx context.Context, owner string, sub []dna.Pair) (*
 var errShedding = errors.New("shedding (429)")
 
 // forward sends one owner group to its peer in exactly one HTTP attempt and
-// returns the peer's scores and report. Success resets the peer's failure
-// streak; a failure advances it unless the peer shed the request or the
-// caller's context ended, where the peer's health is unknown.
+// returns the peer's scores and report. A success leaves health alone and
+// takes no lock; a failure quarantines the peer unless the peer shed the
+// request or the caller's context ended, where its health is unknown.
 func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) (*alignsvc.BatchResult, error) {
 	body, err := json.Marshal(c.wireRequest(ctx, sub))
 	if err != nil {
@@ -545,19 +490,14 @@ func (c *Cluster) forward(ctx context.Context, p *peer, sub []dna.Pair) (*aligns
 	}
 	res, err := c.post(ctx, p, body, len(sub))
 	if err == nil {
-		c.noteSuccess(p)
 		p.forwards.Add(1)
-		if p.mFwd != nil {
-			p.mFwd.Inc()
-		}
+		p.mFwd.Inc()
 		return res, nil
 	}
 	p.forwardErrs.Add(1)
-	if p.mFErr != nil {
-		p.mFErr.Inc()
-	}
+	p.mFErr.Inc()
 	if ctx.Err() == nil && !errors.Is(err, errShedding) {
-		c.noteFailure(p, err)
+		c.mark(p, err)
 	}
 	return nil, err
 }
@@ -618,9 +558,7 @@ func (c *Cluster) post(ctx context.Context, p *peer, body []byte, wantScores int
 	}
 	if out.Report.CacheHits > 0 {
 		p.peerCacheHits.Add(int64(out.Report.CacheHits))
-		if c.mPeerHits != nil {
-			c.mPeerHits.Add(int64(out.Report.CacheHits))
-		}
+		c.mPeerHits.Add(int64(out.Report.CacheHits))
 	}
 	return &alignsvc.BatchResult{Scores: out.Scores, Report: out.Report}, nil
 }
@@ -643,59 +581,32 @@ type wireAlignResp struct {
 	Report alignsvc.Report `json:"report"`
 }
 
-// prober is the background health loop: it probes live peers at
-// ProbeInterval (so silent deaths and draining peers are noticed even
-// without traffic) and quarantined peers after their cooldown, readmitting
-// on success.
-func (c *Cluster) prober() {
+// probeLoop probes one peer's /readyz every ProbeInterval until ctx ends
+// (Close), so silent deaths and draining peers are noticed even without
+// traffic and a quarantined peer is readmitted by its next passing probe.
+// A probe that Close aborted marks nothing.
+func (c *Cluster) probeLoop(ctx context.Context, p *peer) {
 	defer c.wg.Done()
-	tick := c.cfg.ProbeInterval / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.closed:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 		}
-		now := time.Now()
-		var due []*peer
-		c.mu.Lock()
-		for _, p := range c.order {
-			switch p.state {
-			case Healthy:
-				if now.Sub(p.lastProbe) >= c.cfg.ProbeInterval {
-					p.lastProbe = now
-					due = append(due, p)
-				}
-			case Quarantined:
-				if now.Sub(p.quarantinedAt) >= c.cfg.ProbeInterval {
-					c.setStateLocked(p, Probing)
-					p.lastProbe = now
-					due = append(due, p)
-				}
-			}
+		err := c.probe(ctx, p)
+		if ctx.Err() != nil {
+			return
 		}
-		c.mu.Unlock()
-		for _, p := range due {
-			// Off-lock: a probe is one bounded GET, but N of them must not
-			// serialize behind the membership lock.
-			if err := c.probeOne(p); err != nil {
-				c.noteFailure(p, err)
-			} else {
-				c.noteSuccess(p)
-			}
-		}
+		c.mark(p, err)
 	}
 }
 
-// probeOne checks a peer's /readyz. A draining or dead peer fails here and
+// probe checks a peer's /readyz. A draining or dead peer fails here and
 // leaves the ring, so its keys re-home even when no traffic touches it.
-func (c *Cluster) probeOne(p *peer) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PeerTimeout)
+func (c *Cluster) probe(ctx context.Context, p *peer) error {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/readyz", nil)
 	if err != nil {
@@ -720,9 +631,7 @@ func (c *Cluster) NoteForwardedServed() {
 		return
 	}
 	c.forwardedServed.Add(1)
-	if c.mServed != nil {
-		c.mServed.Inc()
-	}
+	c.mServed.Inc()
 }
 
 // NoteLoopReject counts a forwarded request rejected by the hop guard.
@@ -732,7 +641,5 @@ func (c *Cluster) NoteLoopReject() {
 		return
 	}
 	c.loopRejects.Add(1)
-	if c.mLoops != nil {
-		c.mLoops.Inc()
-	}
+	c.mLoops.Inc()
 }

@@ -271,7 +271,7 @@ func TestForwardAndMerge(t *testing.T) {
 	c := newTestCluster(t, Config{
 		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
 		Peers:         []Peer{{ID: "n2", URL: peer.ts.URL}},
-		ProbeInterval: time.Hour, // keep the prober quiet
+		ProbeInterval: time.Hour, // keep the probes quiet
 	})
 	pairs := testPairs(t, 64)
 	res, err := c.Align(context.Background(), pairs)
@@ -332,8 +332,11 @@ func TestDeadPeerFallsBackToLocal(t *testing.T) {
 	if st.FallbackPairs == 0 || st.ForwardedPairs != 0 || st.LocalPairs+st.FallbackPairs != int64(len(pairs)) {
 		t.Fatalf("want the dead peer's pairs served locally, the rest as usual: %+v", st)
 	}
-	if p := st.Peers[0]; p.ConsecFailures != 1 || p.ForwardErrors != 1 {
-		t.Fatalf("one failed forward must count once against the peer: %+v", p)
+	if p := st.Peers[0]; p.State != Quarantined || p.Quarantines != 1 || p.ForwardErrors != 1 {
+		t.Fatalf("one failed forward must quarantine the peer once: %+v", p)
+	}
+	if !reflect.DeepEqual(st.RingMembers, []string{"n1"}) {
+		t.Fatalf("ring members %v, want [n1]", st.RingMembers)
 	}
 }
 
@@ -382,7 +385,7 @@ func TestPeer429FallsBackWithoutWaiting(t *testing.T) {
 	if st.FallbackPairs != int64(len(pairs)) || st.ForwardedPairs != 0 {
 		t.Fatalf("want all %d pairs served locally: %+v", len(pairs), st)
 	}
-	if p := st.Peers[0]; p.State != Healthy || p.ConsecFailures != 0 {
+	if p := st.Peers[0]; p.State != Healthy || p.Quarantines != 0 {
 		t.Fatalf("a 429 moved the peer's health: %+v", p)
 	}
 }
@@ -427,17 +430,16 @@ func TestOwnerNeverForwardsToItself(t *testing.T) {
 	}
 }
 
-// --- health machine / re-homing ---
+// --- peer health / re-homing ---
 
 func TestQuarantineAndReadmission(t *testing.T) {
 	peer := newPeerServer(t)
 	local := &fakeLocal{}
 	c := newTestCluster(t, Config{
 		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
-		Peers:           []Peer{{ID: "n2", URL: peer.ts.URL}},
-		ProbeInterval:   50 * time.Millisecond,
-		QuarantineAfter: 2,
-		PeerTimeout:     time.Second,
+		Peers:         []Peer{{ID: "n2", URL: peer.ts.URL}},
+		ProbeInterval: 50 * time.Millisecond,
+		PeerTimeout:   time.Second,
 	})
 	waitState := func(want State) {
 		t.Helper()
@@ -466,7 +468,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if st.Peers[0].Quarantines == 0 {
 		t.Fatal("quarantine not counted")
 	}
-	rehomesAfterDeath := st.Rehomes
+	versionAfterDeath := st.RingVersion
 
 	// All pairs — including n2's arc — now run locally without forwards.
 	pairs := testPairs(t, 32)
@@ -487,16 +489,15 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if st.Peers[0].Readmissions == 0 {
 		t.Fatal("readmission not counted")
 	}
-	if st.Rehomes <= rehomesAfterDeath {
-		t.Fatal("readmission must re-home keys back")
+	if st.RingVersion <= versionAfterDeath {
+		t.Fatal("readmission must rebuild the ring, re-homing keys back")
 	}
 }
 
 // TestSlowPeerTimesOutToLocal pins PeerTimeout as the bound on a forward:
-// a peer that answers after the timeout costs one attempt and one failure
-// on its streak, and the group is scored locally. A caller whose own
-// deadline ends first gets its context error and leaves the peer's health
-// alone.
+// a peer that answers after the timeout costs one attempt and quarantines
+// the peer, and the group is scored locally. A caller whose own deadline
+// ends first gets its context error and leaves the peer's health alone.
 func TestSlowPeerTimesOutToLocal(t *testing.T) {
 	peer := newPeerServer(t)
 	peer.sleep = 2 * time.Second // peer is alive but glacial
@@ -514,7 +515,7 @@ func TestSlowPeerTimesOutToLocal(t *testing.T) {
 	if _, err := c.Align(ctx, pairs); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Align past the caller's deadline: %v, want context.DeadlineExceeded", err)
 	}
-	if p := c.Stats().Peers[0]; p.ConsecFailures != 0 {
+	if p := c.Stats().Peers[0]; p.State != Healthy {
 		t.Fatalf("the caller's deadline counted against the peer: %+v", p)
 	}
 
@@ -536,8 +537,140 @@ func TestSlowPeerTimesOutToLocal(t *testing.T) {
 	if st.FallbackPairs != int64(len(pairs)) || st.ForwardedPairs != 0 {
 		t.Fatalf("want all %d pairs served locally: %+v", len(pairs), st)
 	}
-	if p := st.Peers[0]; p.ConsecFailures != 1 || p.State != Healthy {
-		t.Fatalf("one timed-out forward must count once: %+v", p)
+	if p := st.Peers[0]; p.State != Quarantined || p.Quarantines != 1 {
+		t.Fatalf("one timed-out forward must quarantine the peer once: %+v", p)
+	}
+}
+
+// TestDrainingPeerLeavesRingAtOnce pins that a draining peer's first 503
+// takes it out of the ring: one forward meets the refusal and is scored
+// locally, and every later batch the peer owned is scored locally without
+// a round trip. No probe runs during the test.
+func TestDrainingPeerLeavesRingAtOnce(t *testing.T) {
+	var aligns atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/align" {
+			aligns.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, `{"code":"draining"}`)
+	}))
+	t.Cleanup(peer.Close)
+	c := newTestCluster(t, Config{
+		NodeID: "n1", Local: &fakeLocal{}, Scoring: swa.PaperScoring, Lanes: 32,
+		Peers:         []Peer{{ID: "n2", URL: peer.URL}},
+		ProbeInterval: time.Hour,
+	})
+	for _, p := range ownedBy(t, c, "n2", 10) {
+		pairs := []dna.Pair{p}
+		res, err := c.Align(context.Background(), pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Scores, wantScores(pairs)) {
+			t.Fatal("scores differ")
+		}
+	}
+	if got := aligns.Load(); got != 1 {
+		t.Fatalf("the draining peer got %d forwards, want exactly 1", got)
+	}
+	st := c.Stats()
+	if st.FallbackPairs != 1 {
+		t.Fatalf("fallback pairs = %d, want 1: %+v", st.FallbackPairs, st)
+	}
+	if p := st.Peers[0]; p.State != Quarantined {
+		t.Fatalf("the draining peer is %v, want quarantined: %+v", p.State, p)
+	}
+	if !reflect.DeepEqual(st.RingMembers, []string{"n1"}) {
+		t.Fatalf("ring members %v, want [n1]", st.RingMembers)
+	}
+}
+
+// hungReadyz starts a peer whose /readyz never answers until the test
+// ends; it counts the probes it has received.
+func hungReadyz(t *testing.T) (url string, probes *atomic.Int64) {
+	t.Helper()
+	probes = new(atomic.Int64)
+	hung := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			probes.Add(1)
+		}
+		select {
+		case <-r.Context().Done():
+		case <-hung:
+		}
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(hung) })
+	return ts.URL, probes
+}
+
+// TestHungProbeDelaysNoOtherPeer pins that each peer is probed on its own
+// loop: while n2 hangs every /readyz for the whole PeerTimeout, n3 still
+// leaves the ring within a few probe intervals of failing /readyz, and
+// rejoins as soon after passing it again.
+func TestHungProbeDelaysNoOtherPeer(t *testing.T) {
+	hungURL, _ := hungReadyz(t)
+	n3 := newPeerServer(t)
+	c := newTestCluster(t, Config{
+		NodeID: "n1", Local: &fakeLocal{}, Scoring: swa.PaperScoring, Lanes: 32,
+		Peers:         []Peer{{ID: "n2", URL: hungURL}, {ID: "n3", URL: n3.ts.URL}},
+		ProbeInterval: 50 * time.Millisecond,
+		PeerTimeout:   time.Second,
+	})
+	// waitRing polls until n3's ring membership is want and returns how
+	// long that took.
+	waitRing := func(want bool) time.Duration {
+		t.Helper()
+		begin := time.Now()
+		for time.Since(begin) < 5*time.Second {
+			st := c.Stats()
+			in := false
+			for _, m := range st.RingMembers {
+				in = in || m == "n3"
+			}
+			if in == want && (st.Peers[1].State == Healthy) == want {
+				return time.Since(begin)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		t.Fatalf("n3 in ring never became %v: %+v", want, c.Stats())
+		return 0
+	}
+	n3.ready.Store(false)
+	if d := waitRing(false); d > 500*time.Millisecond {
+		t.Fatalf("n3 left the ring %v after failing /readyz, want under 500ms", d)
+	}
+	n3.ready.Store(true)
+	if d := waitRing(true); d > 500*time.Millisecond {
+		t.Fatalf("n3 rejoined the ring %v after passing /readyz, want under 500ms", d)
+	}
+}
+
+// TestCloseAbortsHungProbe pins that Close ends an in-flight probe instead
+// of waiting out PeerTimeout, and that the aborted probe marks nothing.
+func TestCloseAbortsHungProbe(t *testing.T) {
+	hungURL, probes := hungReadyz(t)
+	c := newTestCluster(t, Config{
+		NodeID: "n1", Local: &fakeLocal{}, Scoring: swa.PaperScoring, Lanes: 32,
+		Peers:         []Peer{{ID: "n2", URL: hungURL}},
+		ProbeInterval: 10 * time.Millisecond,
+		PeerTimeout:   2 * time.Second,
+	})
+	for deadline := time.Now().Add(5 * time.Second); probes.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no probe reached the peer")
+		}
+	}
+	begin := time.Now()
+	c.Close()
+	if d := time.Since(begin); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a probe hung, want under 100ms", d)
+	}
+	if p := c.Stats().Peers[0]; p.State != Healthy || p.Quarantines != 0 {
+		t.Fatalf("the probe Close aborted moved the peer's health: %+v", p)
 	}
 }
 
@@ -548,10 +681,9 @@ func TestConcurrentAlignWithChurn(t *testing.T) {
 	local := &fakeLocal{}
 	c := newTestCluster(t, Config{
 		NodeID: "n1", Local: local, Scoring: swa.PaperScoring, Lanes: 32,
-		Peers:           []Peer{{ID: "n2", URL: peer.ts.URL}},
-		ProbeInterval:   20 * time.Millisecond,
-		QuarantineAfter: 2,
-		PeerTimeout:     500 * time.Millisecond,
+		Peers:         []Peer{{ID: "n2", URL: peer.ts.URL}},
+		ProbeInterval: 20 * time.Millisecond,
+		PeerTimeout:   500 * time.Millisecond,
 	})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -6,8 +6,7 @@ package cluster
 type Stats struct {
 	NodeID      string   `json:"node_id"`
 	RingMembers []string `json:"ring_members"`
-	RingVersion int64    `json:"ring_version"`
-	Rehomes     int64    `json:"rehomes"` // membership changes that moved key arcs
+	RingVersion int64    `json:"ring_version"` // ring builds: 1 at start, +1 per quarantine or readmission
 
 	Batches        int64 `json:"batches"`         // batches routed through the cluster
 	LocalPairs     int64 `json:"local_pairs"`     // pairs served because we own them
@@ -23,16 +22,15 @@ type Stats struct {
 
 // PeerSnapshot is the exported view of one peer's health and counters.
 type PeerSnapshot struct {
-	ID             string `json:"id"`
-	URL            string `json:"url"`
-	State          State  `json:"state"`
-	ConsecFailures int    `json:"consec_failures"`
-	Quarantines    int64  `json:"quarantines"`
-	Readmissions   int64  `json:"readmissions"`
-	Forwards       int64  `json:"forwards"`
-	ForwardErrors  int64  `json:"forward_errors"`
-	PeerCacheHits  int64  `json:"peer_cache_hits"`
-	LastError      string `json:"last_error,omitempty"`
+	ID            string `json:"id"`
+	URL           string `json:"url"`
+	State         State  `json:"state"`
+	Quarantines   int64  `json:"quarantines"`
+	Readmissions  int64  `json:"readmissions"`
+	Forwards      int64  `json:"forwards"`
+	ForwardErrors int64  `json:"forward_errors"`
+	PeerCacheHits int64  `json:"peer_cache_hits"`
+	LastError     string `json:"last_error,omitempty"`
 }
 
 // Stats snapshots the cluster. The membership fields are taken under the
@@ -54,19 +52,17 @@ func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	st.RingMembers = append([]string(nil), c.currentRing().members()...)
 	st.RingVersion = c.ringVersion
-	st.Rehomes = c.rehomes
 	for _, p := range c.order {
 		snap := PeerSnapshot{
-			ID:             p.id,
-			URL:            p.url,
-			State:          p.state,
-			ConsecFailures: p.consec,
-			Quarantines:    p.quarantines,
-			Readmissions:   p.readmissions,
-			Forwards:       p.forwards.Load(),
-			ForwardErrors:  p.forwardErrs.Load(),
-			PeerCacheHits:  p.peerCacheHits.Load(),
-			LastError:      p.lastErr,
+			ID:            p.id,
+			URL:           p.url,
+			State:         p.state,
+			Quarantines:   p.quarantines,
+			Readmissions:  p.readmissions,
+			Forwards:      p.forwards.Load(),
+			ForwardErrors: p.forwardErrs.Load(),
+			PeerCacheHits: p.peerCacheHits.Load(),
+			LastError:     p.lastErr,
 		}
 		st.PeerCacheHits += snap.PeerCacheHits
 		st.Peers = append(st.Peers, snap)

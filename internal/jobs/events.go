@@ -9,7 +9,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 )
@@ -33,30 +32,9 @@ const (
 // published event of the job (the snapshot seed reuses the latest seq), so
 // subscribers can detect drops.
 type Event struct {
-	Seq  uint64
-	Type string
-	Job  Snapshot
-}
-
-type eventJSON struct {
 	Seq  uint64   `json:"seq"`
 	Type string   `json:"type"`
 	Job  Snapshot `json:"job"`
-}
-
-// MarshalJSON follows the package's stable snake_case wire format.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(eventJSON(e))
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (e *Event) UnmarshalJSON(b []byte) error {
-	var in eventJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	*e = Event(in)
-	return nil
 }
 
 // ErrSubClosed ends a subscriber's Next loop: the subscription was closed

@@ -98,3 +98,32 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
 	}
 }
+
+// TestEventJSONRoundTrip pins an SSE frame's wire format: the server writes
+// each Event as {"seq","type","job"} with the job's snapshot inside.
+func TestEventJSONRoundTrip(t *testing.T) {
+	created := time.Date(2026, 8, 6, 10, 30, 0, 0, time.UTC)
+	in := Event{Seq: 7, Type: EventChunk, Job: Snapshot{
+		ID: "job-1", State: jobstore.StateRunning, Pairs: 64, ChunkSize: 16,
+		Chunks: 4, ChunksDone: 2, Created: created, Updated: created.Add(time.Second),
+		Elapsed: time.Second,
+	}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := json.Marshal(in.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"seq":7,"type":"chunk","job":` + string(job) + `}`; string(b) != want {
+		t.Fatalf("marshal:\n got %s\nwant %s", b, want)
+	}
+	var out Event
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
+	}
+}

@@ -67,12 +67,9 @@ type Config struct {
 	// obs.Default()). Point the service at the same registry so one
 	// /metricsz scrape covers the whole stack.
 	Metrics *obs.Registry
-	// TraceRingSize bounds how many completed request traces /tracez
-	// retains (default 64).
-	TraceRingSize int
-	// TraceRing, when set, replaces the ring the server would create —
-	// point the job manager's Config.Traces at the same ring so one /tracez
-	// covers requests and background job runs alike.
+	// TraceRing, when set, replaces the 64-trace ring the server would
+	// create — point the job manager's Config.Traces at the same ring so
+	// one /tracez covers requests and background job runs alike.
 	TraceRing *obs.TraceRing
 	// Jobs, when set, mounts the async job API: POST /jobs (202 + job id,
 	// Idempotency-Key honoured), GET /jobs/{id}, GET /jobs/{id}/result and
@@ -129,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()
-	}
-	if c.TraceRingSize <= 0 {
-		c.TraceRingSize = 64
 	}
 	return c
 }
@@ -285,7 +279,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	traces := cfg.TraceRing
 	if traces == nil {
-		traces = obs.NewTraceRing(cfg.TraceRingSize)
+		traces = obs.NewTraceRing(64)
 	}
 	reg := cfg.Tenants
 	if reg == nil {
