@@ -16,17 +16,18 @@ import (
 
 // TestBackendFlagEndToEnd boots the real binary with the striped default
 // and checks the whole backend seam over HTTP: exact scores served by the
-// striped tier, /statsz carrying the backend name and striped counters, a
-// per-request X-SWA-Backend override landing on the cpu tier, and an
-// unknown header rejected as bad_backend. Skipped with -short.
+// striped tier, a request carrying the retired engine-override header
+// (naming cpu-ref, or an unknown engine) served by striped all the same,
+// and /statsz carrying the backend name and striped counters for every
+// request. Skipped with -short.
 func TestBackendFlagEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary e2e in -short mode")
 	}
 	bin := buildSwaserver(t)
-	// -cache-bytes=0: the score cache is shared across backends by design,
-	// so with it on, the second request would be served from cache and never
-	// reach the overridden engine — this test wants to see the tiers.
+	// -cache-bytes=0: with the cache on, the repeated requests would be
+	// served from it and never reach the engine — this test wants to see
+	// the tier of each.
 	cmd, base, stderr := startSwaserver(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-backend", "striped",
@@ -48,15 +49,17 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 	}
 	body, _ := json.Marshal(req)
 
-	post := func(backend string) (*http.Response, server.AlignResponse) {
+	// post sends the batch, with the retired engine-override header (in
+	// lower case; header names are case-insensitive) when engine is set.
+	post := func(engine string) (*http.Response, server.AlignResponse) {
 		t.Helper()
 		hreq, err := http.NewRequest(http.MethodPost, base+"/align", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		hreq.Header.Set("Content-Type", "application/json")
-		if backend != "" {
-			hreq.Header.Set(server.BackendHeader, backend)
+		if engine != "" {
+			hreq.Header.Set("x-swa-backend", engine)
 		}
 		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
@@ -72,37 +75,22 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 		return resp, out
 	}
 
-	// Default path: the striped engine serves with exact scores.
-	resp, out := post("")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("align: status %d; stderr:\n%s", resp.StatusCode, stderr.String())
-	}
-	for i := range want {
-		if out.Scores[i] != want[i] {
-			t.Fatalf("score[%d] = %d, want %d", i, out.Scores[i], want[i])
+	// The striped engine serves every request with exact scores, whatever
+	// engine the header names.
+	engines := []string{"", "cpu-ref", "hyperdrive"}
+	for _, engine := range engines {
+		resp, out := post(engine)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("header %q: status %d; stderr:\n%s", engine, resp.StatusCode, stderr.String())
 		}
-	}
-	if out.Report.Tier.String() != "striped" {
-		t.Fatalf("served by %v, want striped", out.Report.Tier)
-	}
-
-	// Per-request override to the scalar reference.
-	resp, out = post("cpu-ref")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("override: status %d", resp.StatusCode)
-	}
-	if out.Report.Tier.String() != "cpu" {
-		t.Fatalf("override served by %v, want cpu", out.Report.Tier)
-	}
-	for i := range want {
-		if out.Scores[i] != want[i] {
-			t.Fatalf("override score[%d] = %d, want %d", i, out.Scores[i], want[i])
+		for i := range want {
+			if out.Scores[i] != want[i] {
+				t.Fatalf("header %q: score[%d] = %d, want %d", engine, i, out.Scores[i], want[i])
+			}
 		}
-	}
-
-	// Unknown backend is a 400 before any work runs.
-	if resp, _ := post("hyperdrive"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown backend: status %d, want 400", resp.StatusCode)
+		if out.Report.Tier.String() != "striped" {
+			t.Fatalf("header %q: served by %v, want striped", engine, out.Report.Tier)
+		}
 	}
 
 	// /statsz reports the default backend and the striped counters.
@@ -125,9 +113,8 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 	if statsz.Service.Backend != "striped" {
 		t.Fatalf("/statsz backend = %q, want striped", statsz.Service.Backend)
 	}
-	if statsz.Service.Striped.Pairs != int64(len(pairs)) {
-		t.Fatalf("/statsz striped pairs = %d, want %d (cpu-ref override must not count)",
-			statsz.Service.Striped.Pairs, len(pairs))
+	if want := int64(len(engines) * len(pairs)); statsz.Service.Striped.Pairs != want {
+		t.Fatalf("/statsz striped pairs = %d, want %d", statsz.Service.Striped.Pairs, want)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

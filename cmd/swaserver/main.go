@@ -3,12 +3,14 @@
 // its request's goroutine, with the scalar reference answering any batch
 // its backend fails) behind internal/server's admission control.
 //
-// -backend selects the default serving engine: striped (the native
+// -backend selects the one serving engine: striped (the native
 // Farrar-style SIMD CPU engine, the wall-clock default), bitwise-sim /
 // wordwise-sim (the paper's simulated GPU pipelines), or cpu-ref (the
-// scalar reference). A single request can override it with the
-// X-SWA-Backend header; all backends return byte-identical scores, so the
-// score cache and cluster routing are shared across them.
+// scalar reference). Every score the server computes, for /align, /search
+// and both job kinds, goes through that engine in one of -workers engine
+// slots, with the scalar reference answering any batch it fails. All
+// backends return byte-identical scores, so nodes running different ones
+// share cache keys and cluster routing.
 //
 // Endpoints: POST /align, GET /healthz, /readyz, /statsz, /metricsz
 // (Prometheus text). On SIGINT/SIGTERM the server stops admitting work
@@ -32,12 +34,11 @@
 // -corpus name=dir (repeatable) mounts reference corpora built with
 // dbfilter -build (or corpus.Build): POST /search answers ranked top-K
 // queries — a k-mer posting-list prefilter narrows the corpus, then the
-// exact Smith-Waterman backend named by -search-backend scores the
-// candidates —
-// and, combined with -data-dir, POST /jobs accepts kind "search" for
-// durable chunk-checkpointed searches (-search-chunk-size sequences per
-// checkpoint) that resume from the WAL after a crash. /statsz gains a
-// search section with per-corpus inventory and funnel counters.
+// service scores the candidates exactly — and, combined with -data-dir,
+// POST /jobs accepts kind "search" for durable chunk-checkpointed searches
+// (-search-chunk-size sequences per checkpoint) that resume from the WAL
+// after a crash. /statsz gains a search section with per-corpus inventory
+// and funnel counters.
 //
 // -ops-addr starts a second listener with the operational endpoints —
 // /metricsz, /tracez (recent request traces) and net/http/pprof under
@@ -49,12 +50,11 @@
 //	swaserver [-backend striped|bitwise-sim|wordwise-sim|cpu-ref]
 //	          [-addr :8468] [-ops-addr :8469] [-workers N] [-inflight N]
 //	          [-queued N] [-tenants tenants.json]
-//	          [-grace 15s] [-timeout 30s] [-lanes 32]
+//	          [-grace 15s] [-timeout 30s]
 //	          [-node-id n1 -peers n2=http://h2:8468,n3=http://h3:8468]
 //	          [-peer-timeout 5s -peer-probe-interval 1s]
 //	          [-data-dir /var/lib/swa -wal-sync always -chunk-size 64]
-//	          [-corpus ref=/var/lib/swa/corpus -search-backend striped]
-//	          [-search-chunk-size 4096]
+//	          [-corpus ref=/var/lib/swa/corpus -search-chunk-size 4096]
 //	          [-read-header-timeout 10s -read-timeout 2m -idle-timeout 2m]
 //
 // -peers turns N swaserver processes into one coordinator-free logical
@@ -88,7 +88,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -96,10 +95,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8468", "listen address (host:port; port 0 picks a free one)")
 	backend := flag.String("backend", alignsvc.BackendStriped,
-		"default execution backend: "+strings.Join(alignsvc.BackendNames(), ", "))
+		"execution backend: "+strings.Join(alignsvc.BackendNames(), ", "))
 	opsAddr := flag.String("ops-addr", "", "ops listen address for /metricsz, /tracez and pprof (empty = disabled)")
 	workers := flag.Int("workers", 0, "service engine slots: batches scoring at once (0 = GOMAXPROCS)")
-	lanes := flag.Int("lanes", 32, "bitwise lane width: 32 or 64")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "score-cache size bound in bytes (0 disables the cache)")
 	cacheTTL := flag.Duration("cache-ttl", 10*time.Minute, "score-cache entry lifetime (0 = no expiry)")
 	cacheShards := flag.Int("cache-shards", 16, "score-cache shard count")
@@ -134,17 +132,12 @@ func main() {
 
 	var corpusMounts mountFlags
 	flag.Var(&corpusMounts, "corpus", "mount a corpus index as name=dir (repeatable; enables POST /search)")
-	searchBackend := flag.String("search-backend", alignsvc.BackendStriped,
-		"exact scoring backend for corpus search: "+strings.Join(alignsvc.BackendNames(), ", "))
 	searchChunkSize := flag.Int("search-chunk-size", 4096, "corpus sequences per search-job chunk (the checkpoint granularity)")
 	flag.Parse()
 
 	if flag.NArg() != 0 {
 		flag.PrintDefaults()
 		cli.Exitf(2, "swaserver: unexpected arguments %v", flag.Args())
-	}
-	if *lanes != 32 && *lanes != 64 {
-		cli.Exitf(2, "swaserver: -lanes must be 32 or 64, got %d", *lanes)
 	}
 	if !slices.Contains(alignsvc.BackendNames(), *backend) {
 		cli.Exitf(2, "swaserver: -backend: unknown backend %q (have %s)",
@@ -186,28 +179,21 @@ func main() {
 	svc := alignsvc.New(alignsvc.Config{
 		Backend: *backend,
 		Cache:   cache,
-		Lanes:   *lanes,
 		Workers: *workers,
 	})
 	// Reference corpora: each -corpus name=dir opens a CRC-checked index
-	// built by dbfilter -build, and all mounts share one exact scoring
-	// backend (-search-backend). The registry is handed to both the server
+	// built by dbfilter -build, and every mount scores its candidates
+	// through the service. The registry is handed to both the server
 	// (POST /search) and the job manager (kind "search" jobs).
 	var corpora *corpus.Registry
 	if len(corpusMounts) > 0 {
-		if !slices.Contains(alignsvc.BackendNames(), *searchBackend) {
-			cli.Exitf(2, "swaserver: -search-backend: unknown backend %q (have %s)",
-				*searchBackend, strings.Join(alignsvc.BackendNames(), ", "))
-		}
-		be, err := alignsvc.NewBackend(*searchBackend, pipeline.Config{}, *lanes)
-		cli.Check(err)
 		corpora = corpus.NewRegistry()
 		for _, m := range corpusMounts {
 			c, err := corpus.Open(m.dir)
 			if err != nil {
 				cli.Exitf(2, "swaserver: -corpus %s=%s: %v", m.name, m.dir, err)
 			}
-			if err := corpora.Add(m.name, c, corpus.NewSearcher(c, be, obs.Default())); err != nil {
+			if err := corpora.Add(m.name, c, corpus.NewSearcher(c, svc, obs.Default())); err != nil {
 				cli.Exitf(2, "swaserver: -corpus: %v", err)
 			}
 			log.Printf("swaserver: corpus %q mounted: %d sequence(s), %d base(s), k=%d, fingerprint %s",

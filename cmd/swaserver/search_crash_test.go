@@ -72,7 +72,7 @@ func TestSIGKILLSearchRecovery(t *testing.T) {
 		"-data-dir", dataDir,
 		"-wal-sync", "always",
 		"-corpus", "ref="+corpusDir,
-		"-search-backend", "cpu-ref",
+		"-backend", "cpu-ref",
 		"-search-chunk-size", "500",
 		"-job-concurrency", "1",
 	)
@@ -133,7 +133,7 @@ func TestSIGKILLSearchRecovery(t *testing.T) {
 		"-data-dir", dataDir,
 		"-wal-sync", "always",
 		"-corpus", "ref="+corpusDir,
-		"-search-backend", "striped",
+		"-backend", "striped",
 		"-search-chunk-size", "500",
 		"-job-concurrency", "1",
 		"-grace", "10s",

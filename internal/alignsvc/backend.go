@@ -16,8 +16,8 @@ import (
 	"repro/internal/swa"
 )
 
-// Backend names, as accepted by Config.Backend, AlignBackend and the
-// swaserver -backend flag / X-SWA-Backend header.
+// Backend names, as accepted by Config.Backend, NewBackend and the
+// swaserver -backend flag.
 const (
 	// BackendBitwiseSim serves through the paper's bitwise BPBC pipeline on
 	// the simulated GPU.
@@ -40,7 +40,7 @@ func BackendNames() []string {
 // backendTier maps a backend name to the tier that serves it.
 func backendTier(name string) (Tier, error) {
 	switch name {
-	case BackendBitwiseSim, "":
+	case BackendBitwiseSim:
 		return TierBitwise, nil
 	case BackendWordwiseSim:
 		return TierWordwise, nil
@@ -78,29 +78,26 @@ func scoringOf(cfg pipeline.Config) swa.Scoring {
 }
 
 // NewBackend constructs a standalone backend: no engine slot, no cache,
-// no fallback — just the engine. The benchmark harness and the
-// cross-backend exactness oracle use it to measure and compare engines in
-// isolation. cfg supplies the scoring scheme (and, for the simulated
-// backends, the device model); lanes selects the bitwise width as in
-// Config.Lanes.
+// no fallback — just the engine. New serves with one; the benchmark
+// harness, dbfilter and the cross-backend exactness oracle use it to
+// measure and compare engines in isolation. cfg supplies the scoring
+// scheme (and, for the simulated backends, the device model); lanes
+// selects the bitwise width as in Config.Lanes.
 func NewBackend(name string, cfg pipeline.Config, lanes int) (Backend, error) {
+	tier, err := backendTier(name)
+	if err != nil {
+		return nil, err
+	}
 	if lanes == 0 {
 		lanes = 32
 	}
-	scoring := scoringOf(cfg)
-	switch name {
-	case BackendBitwiseSim, BackendWordwiseSim:
-		tier := TierBitwise
-		if name == BackendWordwiseSim {
-			tier = TierWordwise
-		}
-		return &simBackend{name: name, tier: tier, cfg: cfg, lanes: lanes}, nil
-	case BackendStriped:
-		return &stripedBackend{eng: striped.New(striped.Config{}), scoring: scoring}, nil
-	case BackendCPURef:
-		return &cpuBackend{scoring: scoring}, nil
+	switch tier {
+	case TierStriped:
+		return &stripedBackend{eng: striped.New(striped.Config{}), scoring: scoringOf(cfg)}, nil
+	case TierCPU:
+		return &cpuBackend{scoring: scoringOf(cfg)}, nil
 	}
-	return nil, fmt.Errorf("alignsvc: unknown backend %q", name)
+	return &simBackend{name: name, tier: tier, cfg: cfg, lanes: lanes}, nil
 }
 
 // runPipeline invokes the simulated pipeline for a tier with a fully

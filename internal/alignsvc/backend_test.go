@@ -3,6 +3,7 @@ package alignsvc
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/aligncache"
@@ -53,6 +54,9 @@ func TestBackendLadderSelection(t *testing.T) {
 			if tc.tier == TierStriped && (st.Striped == nil || st.Striped.Pairs == 0) {
 				t.Fatalf("striped stats not populated: %+v", st.Striped)
 			}
+			if tc.tier != TierStriped && st.Striped != nil {
+				t.Fatalf("a %s service reports striped stats: %+v", st.Backend, st.Striped)
+			}
 		})
 	}
 }
@@ -68,51 +72,61 @@ func TestNewPanicsOnUnknownBackend(t *testing.T) {
 	New(Config{Backend: "stripd"})
 }
 
-// TestAlignBackendOverride verifies per-request backend selection on a
-// running service, including rejection of unknown names.
-func TestAlignBackendOverride(t *testing.T) {
-	s := New(Config{Backend: BackendStriped, Metrics: obs.NewRegistry()})
-	defer s.Close()
-	pairs := plantedPairs(16, 20, 40, 9)
+// TestServiceAsBackend pins that a service serves with Config.Backend
+// alone, and that its Backend face runs on that engine too: Name is the
+// backend's name, and AlignBatch scores a batch of mixed shapes (one query
+// against texts of 16 lengths, as corpus search sends) exactly, without
+// the cache. The simulated kernels reject a mixed batch, so on them each
+// call costs one fallback.
+func TestServiceAsBackend(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	q := dna.RandSeq(rng, 20)
+	var pairs []dna.Pair
+	for n := 30; n < 46; n++ {
+		pairs = append(pairs, dna.Pair{X: q, Y: dna.RandSeq(rng, n)})
+	}
 	want := refScores(pairs)
-
-	for _, tc := range []struct {
-		backend string
-		tier    Tier
-	}{
-		{BackendCPURef, TierCPU},
-		{BackendBitwiseSim, TierBitwise},
-		{BackendStriped, TierStriped},
-	} {
-		res, err := s.AlignBackend(context.Background(), pairs, tc.backend)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.backend, err)
-		}
-		assertScores(t, res.Scores, want)
-		if res.Report.Tier != tc.tier {
-			t.Fatalf("%s served by %v, want %v", tc.backend, res.Report.Tier, tc.tier)
-		}
-	}
-	if _, err := s.AlignBackend(context.Background(), pairs, "gpu-magic"); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	// The override must not change the configured default.
-	if st := s.Stats(); st.Backend != BackendStriped {
-		t.Fatalf("Stats.Backend = %q after overrides, want %q", st.Backend, BackendStriped)
+	for _, name := range BackendNames() {
+		t.Run(name, func(t *testing.T) {
+			cache := aligncache.New(aligncache.Config{MaxBytes: 1 << 20, Metrics: obs.NewRegistry()})
+			s := New(Config{Backend: name, Cache: cache, Metrics: obs.NewRegistry()})
+			defer s.Close()
+			var be Backend = s
+			if be.Name() != name {
+				t.Fatalf("Name() = %q, want %q", be.Name(), name)
+			}
+			for range 2 {
+				scores, _, err := be.AlignBatch(context.Background(), pairs, BatchOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertScores(t, scores, want)
+			}
+			wantFallbacks := int64(0)
+			if name == BackendBitwiseSim || name == BackendWordwiseSim {
+				wantFallbacks = 2
+			}
+			if st := s.Stats(); st.Backend != name || st.Batches != 2 || st.Fallbacks != wantFallbacks {
+				t.Fatalf("stats %+v, want backend %s, 2 batches, %d fallbacks", st, name, wantFallbacks)
+			}
+			if cs := cache.Stats(); cs.Hits+cs.Misses != 0 {
+				t.Fatalf("AlignBatch consulted the cache: %+v", cs)
+			}
+		})
 	}
 }
 
 // TestStripedLadderShape pins the path of a failing batch: a striped batch
 // whose engine fails is scored once by the CPU reference. So is a cpu-ref
-// batch whose wrapped backend fails, because Config.Wrap never wraps the
-// fallback.
+// service's batch whose wrapped backend fails, because Config.Wrap never
+// wraps the fallback.
 func TestStripedLadderShape(t *testing.T) {
 	wrap, failed := flakyWrap(1, 5)
-	s := New(Config{Backend: BackendStriped, Wrap: wrap, Metrics: obs.NewRegistry()})
-	defer s.Close()
 	pairs := plantedPairs(16, 20, 40, 11)
 	for _, backend := range []string{BackendStriped, BackendCPURef} {
-		res, err := s.AlignBackend(context.Background(), pairs, backend)
+		s := New(Config{Backend: backend, Wrap: wrap, Metrics: obs.NewRegistry()})
+		res, err := s.Align(context.Background(), pairs)
+		s.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -120,9 +134,13 @@ func TestStripedLadderShape(t *testing.T) {
 		if res.Report.Tier != TierCPU || res.Report.Fallbacks != 1 {
 			t.Fatalf("%s: report %s, want cpu after 1 fallback", backend, res.Report)
 		}
+		st := s.Stats()
+		if st.Fallbacks != 1 || (backend == BackendStriped && st.Striped.Pairs != 0) {
+			t.Fatalf("%s: stats %+v, want 1 fallback and no striped pairs", backend, st)
+		}
 	}
-	if st := s.Stats(); failed.Load() != 2 || st.Fallbacks != 2 || st.Striped.Pairs != 0 {
-		t.Fatalf("%d injected failures, stats %+v", failed.Load(), st)
+	if failed.Load() != 2 {
+		t.Fatalf("%d injected failures, want 2", failed.Load())
 	}
 }
 
@@ -253,7 +271,7 @@ func TestCacheSharedAcrossBackends(t *testing.T) {
 		t.Fatalf("reverse CacheHits = %d, want %d", res3.Report.CacheHits, len(extra))
 	}
 	if res3.Report.Tier != TierStriped {
-		t.Fatalf("a fully cached batch reports tier %v, want the striped backend it asked for", res3.Report.Tier)
+		t.Fatalf("a fully cached batch reports tier %v, want its striped service's", res3.Report.Tier)
 	}
 	assertScores(t, res3.Scores, refScores(extra))
 }

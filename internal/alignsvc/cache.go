@@ -27,10 +27,10 @@ type pending struct {
 // path) or flight follower (another in-flight batch is computing it; wait).
 // Within the batch, duplicate pairs collapse onto one leader or follower,
 // so a 32K-pair panel with 100 distinct pairs dispatches at most 100.
-func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
+func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair) (*BatchResult, error) {
 	if len(pairs) == 0 {
 		// Preserve the uncached path's validation error for empty batches.
-		return s.dispatch(ctx, pairs, backend)
+		return s.dispatch(ctx, pairs)
 	}
 	start := time.Now()
 	cache := s.cfg.Cache
@@ -69,15 +69,14 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 		}
 	}
 
-	// A batch that dispatches nothing reports the backend it asked for.
-	tier, _ := backendTier(backend) // validated by Align and AlignBackend
-	rep := Report{Tier: tier, CacheHits: hits}
+	// A batch that dispatches nothing reports the serving backend's tier.
+	rep := Report{Tier: s.tier, CacheHits: hits}
 
 	// Score the uncached remainder as one batch on one engine slot, then
 	// publish each score so every follower (here and in concurrent
 	// batches) unblocks.
 	if len(missPairs) > 0 {
-		res, err := s.dispatch(ctx, missPairs, backend)
+		res, err := s.dispatch(ctx, missPairs)
 		if err != nil {
 			// Fulfilling with the error releases followers; the key stays
 			// retryable (failed flights are never cached).
@@ -122,7 +121,7 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair, backend str
 		}
 	}
 	if len(retryPairs) > 0 {
-		res, err := s.dispatch(ctx, retryPairs, backend)
+		res, err := s.dispatch(ctx, retryPairs)
 		if err != nil {
 			return nil, err
 		}

@@ -12,10 +12,10 @@ import (
 	"repro/internal/swa"
 )
 
-// TestServiceExactnessEveryBackend runs every backend through
-// Service.AlignBackend, on an uncached and on a cached service, at shapes
-// from one cell up to past the simulated kernels' 1024-thread block limit,
-// and compares every score with swa.Score. Each batch repeats one pair
+// TestServiceExactnessEveryBackend runs one service per backend, uncached
+// and cached, through Service.Align at shapes from one cell up to past the
+// simulated kernels' 1024-thread block limit, and compares every score
+// with swa.Score. Each batch repeats one pair
 // 33 times: one 32-lane group for the striped engine's byte-lane kernel
 // plus a leftover for its SSE2 kernel.
 //
@@ -41,7 +41,7 @@ func TestServiceExactnessEveryBackend(t *testing.T) {
 		}
 		for _, name := range BackendNames() {
 			t.Run(mode+"/"+name, func(t *testing.T) {
-				cfg := Config{Metrics: obs.NewRegistry()}
+				cfg := Config{Backend: name, Metrics: obs.NewRegistry()}
 				if cached {
 					cfg.Cache = aligncache.New(aligncache.Config{MaxBytes: 1 << 20, Metrics: obs.NewRegistry()})
 				}
@@ -64,7 +64,7 @@ func TestServiceExactnessEveryBackend(t *testing.T) {
 					}
 					shape := fmt.Sprintf("%dx%d", sh.m, sh.n)
 
-					res, err := s.AlignBackend(context.Background(), pairs, name)
+					res, err := s.Align(context.Background(), pairs)
 					if err != nil {
 						t.Fatalf("%s: %v", shape, err)
 					}
@@ -88,7 +88,7 @@ func TestServiceExactnessEveryBackend(t *testing.T) {
 					if !cached {
 						continue
 					}
-					res, err = s.AlignBackend(context.Background(), pairs, name)
+					res, err = s.Align(context.Background(), pairs)
 					if err != nil {
 						t.Fatalf("%s warm: %v", shape, err)
 					}

@@ -24,7 +24,6 @@ const (
 	// exact like TierCPU, at wall-clock GCUPS. (Declared after TierCPU so
 	// the older tiers keep their values.)
 	TierStriped
-	numTiers
 )
 
 func (t Tier) String() string {
@@ -62,7 +61,7 @@ func ParseTier(s string) (Tier, error) {
 // With the score cache enabled, CacheHits pairs were served from stored
 // scores and CacheCoalesced pairs piggybacked on another batch's in-flight
 // computation; neither group reached a backend. When no pair reached a
-// backend, Tier names the backend the batch asked for.
+// backend, Tier names the serving backend's tier.
 type Report struct {
 	Tier      Tier          // tier whose scores were returned
 	Fallbacks int           // 1 when the backend failed and the CPU reference served, else 0
@@ -89,8 +88,7 @@ type BatchResult struct {
 // observability layers to export. The JSON names are the /statsz wire
 // format.
 type Stats struct {
-	// Backend is the service's default backend name (per-request overrides
-	// don't change it).
+	// Backend is the serving backend's name.
 	Backend string `json:"backend,omitempty"`
 
 	Batches         int64 `json:"batches"`          // batches completed successfully
@@ -105,8 +103,7 @@ type Stats struct {
 	// stays so callers outside this package keep compiling.
 	Retries int64 `json:"-"`
 
-	// Striped is the native striped engine's counter snapshot. The engine
-	// always exists, so the snapshot is always present; its counters stay
-	// zero while nothing routes to it.
+	// Striped is the native striped engine's counter snapshot on a striped
+	// service, nil on every other backend.
 	Striped *striped.Stats `json:"striped,omitempty"`
 }

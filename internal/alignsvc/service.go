@@ -1,19 +1,21 @@
 // Package alignsvc is the batch-alignment service layer: it puts every
 // scoring engine — the simulated GPU pipelines, the native striped CPU
-// engine and the scalar reference — behind one pluggable Backend seam,
-// served as cache → engine slot → the batch's backend. A batch scores on
-// its caller's goroutine once it holds one of Config.Workers slots; no
-// queue or worker goroutine stands between the caller and the engine.
+// engine and the scalar reference — behind one pluggable Backend seam. A
+// Service serves with one of them, chosen by Config.Backend, as
+// cache → engine slot → backend. A batch scores on its caller's goroutine
+// once it holds one of Config.Workers slots; no queue or worker goroutine
+// stands between the caller and the engine.
 //
-// Every backend is exact by construction, so a batch runs on its backend
-// once. If that backend fails with anything but a context error (a shape
-// the simulated kernels reject, a recovered panic), the scalar swa.Score
+// Every backend is exact by construction, so a batch runs on the backend
+// once. If it fails with anything but a context error (a shape the
+// simulated kernels reject, a recovered panic), the scalar swa.Score
 // reference scores the batch exactly once instead. Callers therefore always
 // receive exact scores or a context error, together with a per-batch Report
-// naming the tier that served it. The default backend is chosen by
-// Config.Backend; Align uses it, AlignBackend overrides it per request.
-// Service-level counters are exposed through Stats for the observability
-// layers to build on.
+// naming the tier that served it. A Service is itself a Backend (Name,
+// AlignBatch: slot, backend, fallback, no cache), so one-to-many callers
+// such as corpus search score through the same slots and fallback as
+// Align. Service-level counters are exposed through Stats for the
+// observability layers to build on.
 package alignsvc
 
 import (
@@ -39,7 +41,7 @@ var ErrClosed = errors.New("alignsvc: service closed")
 // Config tunes the service. The zero value is usable: the bitwise-sim
 // backend, 32 lanes, GOMAXPROCS engine slots, no cache.
 type Config struct {
-	// Backend selects the default serving engine by name:
+	// Backend selects the serving engine by name:
 	// BackendBitwiseSim (also the "" default), BackendWordwiseSim,
 	// BackendStriped or BackendCPURef. New panics on an unknown name — a
 	// misspelled backend must not silently serve with a different engine.
@@ -65,14 +67,16 @@ type Config struct {
 	// computation. nil (the default) keeps the service byte-identical to
 	// the uncached behaviour.
 	Cache *aligncache.Cache
-	// Wrap, when set, wraps every backend the service serves with. It is
-	// the seam tests use to inject failures or hold an engine slot; nil in
-	// production. The scalar reference a failed batch falls back to is
-	// never wrapped.
+	// Wrap, when set, wraps the serving backend. It is the seam tests use
+	// to inject failures or hold an engine slot; nil in production. The
+	// scalar reference a failed batch falls back to is never wrapped.
 	Wrap func(Backend) Backend
 }
 
 func (c Config) withDefaults() Config {
+	if c.Backend == "" {
+		c.Backend = BackendBitwiseSim
+	}
 	if c.Lanes == 0 {
 		c.Lanes = 32
 	}
@@ -92,11 +96,12 @@ type Service struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 
-	// backends holds one Backend per tier, wrapped by Config.Wrap; ref is
-	// the unwrapped scalar reference a failed batch falls back to.
-	// stripedEng is the native engine behind backends[TierStriped], kept
-	// for its Stats snapshot.
-	backends   [numTiers]Backend
+	// be is the serving backend, wrapped by Config.Wrap, and tier the tier
+	// it reports; ref is the unwrapped scalar reference a failed batch
+	// falls back to. stripedEng is the engine behind a striped backend,
+	// kept for its Stats snapshot; nil on every other backend.
+	be         Backend
+	tier       Tier
 	ref        Backend
 	stripedEng *striped.Engine
 	obs        *obs.Registry
@@ -110,18 +115,9 @@ type Service struct {
 // than failing fast.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	if _, err := backendTier(cfg.Backend); err != nil {
-		panic(err.Error())
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()
-	}
-	s := &Service{
-		cfg:   cfg,
-		slots: make(chan struct{}, cfg.Workers),
-		quit:  make(chan struct{}),
-		obs:   reg,
 	}
 	pcfg := cfg.Pipeline
 	if pcfg.Metrics == nil {
@@ -129,17 +125,24 @@ func New(cfg Config) *Service {
 		// whole stack.
 		pcfg.Metrics = reg
 	}
-	sc := s.Scoring()
-	s.stripedEng = striped.New(striped.Config{})
-	s.ref = &cpuBackend{scoring: sc}
-	s.backends[TierBitwise] = &simBackend{name: BackendBitwiseSim, tier: TierBitwise, cfg: pcfg, lanes: cfg.Lanes}
-	s.backends[TierWordwise] = &simBackend{name: BackendWordwiseSim, tier: TierWordwise, cfg: pcfg, lanes: cfg.Lanes}
-	s.backends[TierStriped] = &stripedBackend{eng: s.stripedEng, scoring: sc}
-	s.backends[TierCPU] = s.ref
+	be, err := NewBackend(cfg.Backend, pcfg, cfg.Lanes)
+	if err != nil {
+		panic(err.Error())
+	}
+	s := &Service{
+		cfg:   cfg,
+		slots: make(chan struct{}, cfg.Workers),
+		quit:  make(chan struct{}),
+		be:    be,
+		ref:   &cpuBackend{scoring: scoringOf(pcfg)},
+		obs:   reg,
+	}
+	s.tier, _ = backendTier(cfg.Backend) // NewBackend accepted the name
+	if sb, ok := be.(*stripedBackend); ok {
+		s.stripedEng = sb.eng
+	}
 	if cfg.Wrap != nil {
-		for t, be := range s.backends {
-			s.backends[t] = cfg.Wrap(be)
-		}
+		s.be = cfg.Wrap(be)
 	}
 	reg.Help("alignsvc_queue_wait_seconds", "time a batch waited for an engine slot")
 	reg.Help("alignsvc_batch_seconds", "slot-to-scores latency of successful batches, by serving tier")
@@ -160,11 +163,10 @@ func (s *Service) Close() {
 	})
 }
 
-// Align scores one uniform batch of pairs with the default backend. It
-// blocks while every engine slot is taken (backpressure) and honours ctx
-// at every stage: the slot wait, kernel-block boundaries and the CPU
-// reference loop. On success the scores are exact; the report names the
-// tier that served them.
+// Align scores one uniform batch of pairs. It blocks while every engine
+// slot is taken (backpressure) and honours ctx at every stage: the slot
+// wait, kernel-block boundaries and the CPU reference loop. On success the
+// scores are exact; the report names the tier that served them.
 //
 // With Config.Cache set, pairs whose scores are already cached are served
 // without taking a slot; only the uncached remainder is dispatched (see
@@ -172,7 +174,27 @@ func (s *Service) Close() {
 // is byte-identical to a recompute by key construction, whichever backend
 // filled it (see aligncache.KeyOf).
 func (s *Service) Align(ctx context.Context, pairs []dna.Pair) (*BatchResult, error) {
-	return s.align(ctx, pairs, s.cfg.Backend)
+	if s.cfg.Cache.Enabled() {
+		return s.alignCached(ctx, pairs)
+	}
+	return s.dispatch(ctx, pairs)
+}
+
+// Name reports the serving backend's name, so a Service can stand wherever
+// a Backend is asked for.
+func (s *Service) Name() string { return s.cfg.Backend }
+
+// AlignBatch is the Backend face of the service: it scores pairs, which
+// need not share a shape, through an engine slot, the serving backend and
+// the one reference fallback, exactly as Align does without a cache. It
+// never consults the cache: its callers (corpus search) score a query
+// against candidates that do not repeat.
+func (s *Service) AlignBatch(ctx context.Context, pairs []dna.Pair, _ BatchOpts) ([]int, BatchStats, error) {
+	res, err := s.dispatch(ctx, pairs)
+	if err != nil {
+		return nil, BatchStats{}, err
+	}
+	return res.Scores, BatchStats{}, nil
 }
 
 // Cells is the DP work a batch represents: Σ |pattern|·|text| matrix cells.
@@ -187,26 +209,9 @@ func Cells(pairs []dna.Pair) int64 {
 	return n
 }
 
-// AlignBackend is Align with a per-request backend override: the batch is
-// served by the named backend instead of the configured default. An
-// unknown name fails before a slot is taken.
-func (s *Service) AlignBackend(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
-	if _, err := backendTier(backend); err != nil {
-		return nil, err
-	}
-	return s.align(ctx, pairs, backend)
-}
-
-func (s *Service) align(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
-	if s.cfg.Cache.Enabled() {
-		return s.alignCached(ctx, pairs, backend)
-	}
-	return s.dispatch(ctx, pairs, backend)
-}
-
 // dispatch is the uncached path: take an engine slot on the caller's
 // goroutine, then score the batch while holding it.
-func (s *Service) dispatch(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
+func (s *Service) dispatch(ctx context.Context, pairs []dna.Pair) (*BatchResult, error) {
 	start := time.Now()
 	select {
 	case s.slots <- struct{}{}:
@@ -226,18 +231,13 @@ func (s *Service) dispatch(ctx context.Context, pairs []dna.Pair, backend string
 	tr := obs.FromContext(ctx)
 	tr.AddSpan("alignsvc.queue_wait", start, wait)
 	defer tr.StartSpan("alignsvc.process")()
-	return s.process(ctx, pairs, backend)
+	return s.process(ctx, pairs)
 }
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	defaultBackend := s.cfg.Backend
-	if defaultBackend == "" {
-		defaultBackend = BackendBitwiseSim
-	}
-	ss := s.stripedEng.Stats()
-	return Stats{
-		Backend:         defaultBackend,
+	st := Stats{
+		Backend:         s.cfg.Backend,
 		Batches:         s.batches.Load(),
 		BatchesFailed:   s.batchesFailed.Load(),
 		Fallbacks:       s.fallbacks.Load(),
@@ -245,8 +245,12 @@ func (s *Service) Stats() Stats {
 		DeadlineHits:    s.deadlineHits.Load(),
 		Cancellations:   s.cancellations.Load(),
 		PanicsRecovered: s.panicsRecovered.Load(),
-		Striped:         &ss,
 	}
+	if s.stripedEng != nil {
+		ss := s.stripedEng.Stats()
+		st.Striped = &ss
+	}
+	return st
 }
 
 func (s *Service) noteCtxErr(err error) error {
@@ -265,17 +269,16 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// process scores one batch on its backend's tier. Any failure other than
+// process scores one batch on the serving backend. Any failure other than
 // a context error sends the batch to the scalar reference, exactly once.
-func (s *Service) process(ctx context.Context, pairs []dna.Pair, backend string) (*BatchResult, error) {
+func (s *Service) process(ctx context.Context, pairs []dna.Pair) (*BatchResult, error) {
 	start := time.Now()
-	tier, _ := backendTier(backend) // validated by Align and AlignBackend
-	rep := Report{Tier: tier}
-	scores, err := s.run(ctx, tier, s.backends[tier], pairs)
+	rep := Report{Tier: s.tier}
+	scores, err := s.run(ctx, s.tier, s.be, pairs)
 	if err != nil && !isCtxErr(err) {
 		rep.Tier, rep.Fallbacks = TierCPU, 1
 		s.fallbacks.Add(1)
-		s.obs.Counter(obs.L("alignsvc_fallbacks_total", "from", tier.String())).Inc()
+		s.obs.Counter(obs.L("alignsvc_fallbacks_total", "from", s.tier.String())).Inc()
 		scores, err = s.run(ctx, TierCPU, s.ref, pairs)
 	}
 	if err != nil {

@@ -30,8 +30,10 @@
 // and keeps sequences reaching MinKmerHits. It is a heuristic: a
 // sequence that shares fewer k-mers can still outscore a candidate, so
 // the filtered top-K equals a scan-all top-K only when true homologs
-// dominate the ranking. The candidates reach the alignsvc.Backend for
-// exact SW scoring into a bounded min-heap of the K best hits. The
+// dominate the ranking. The candidates reach the alignsvc.Backend (in
+// swaserver, the alignsvc.Service itself, with its engine slots and
+// fallback) for exact SW scoring into a bounded min-heap of the K best
+// hits. The
 // prefilter is deterministic in the corpus and query, which is what lets
 // a crashed search job recompute its candidate set on resume and skip
 // exactly the chunks it already checkpointed.

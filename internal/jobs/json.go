@@ -1,37 +1,37 @@
 package jobs
 
 import (
-	"encoding/json"
 	"strings"
 	"time"
 
 	"repro/internal/jobstore"
 )
 
-// This file pins the wire format of the job API types: stable snake_case
-// field names, states as their String() forms, durations as float
-// milliseconds, timestamps as Unix milliseconds — the same conventions as
-// alignsvc.Report/Stats. The /jobs endpoints and /statsz marshal through
-// here, so changes are breaking.
+// This file pins the wire format of the job API types as struct tags:
+// stable snake_case field names, states as their String() forms, durations
+// as float milliseconds, timestamps as Unix milliseconds — the same
+// conventions as alignsvc.Report/Stats. The /jobs endpoints and /statsz
+// marshal these types, so changes are breaking.
 
 // Snapshot is the client-visible view of one job: identity, state machine
-// position and chunk progress.
+// position and chunk progress. The JSON names are the /jobs wire format.
 type Snapshot struct {
-	ID         string
-	Key        string // idempotency key, "" when none was sent
-	Tenant     string // owning tenant ID ("" = anonymous)
-	Kind       string // "" = alignment, "search" = corpus search
-	Corpus     string // search jobs: corpus mount name
-	TopK       int    // search jobs: requested hit count
-	State      jobstore.State
-	Error      string // failure message for failed jobs
-	Pairs      int    // batch size (alignment) or corpus size (search)
-	ChunkSize  int
-	Chunks     int // total chunks
-	ChunksDone int // checkpointed chunks
-	Created    time.Time
-	Updated    time.Time
-	Elapsed    time.Duration // Updated - Created at snapshot time
+	ID         string         `json:"id"`
+	Key        string         `json:"idempotency_key,omitempty"` // "" when none was sent
+	Tenant     string         `json:"tenant,omitempty"`          // owning tenant ID ("" = anonymous)
+	Kind       string         `json:"kind,omitempty"`            // "" = alignment, "search" = corpus search
+	Corpus     string         `json:"corpus,omitempty"`          // search jobs: corpus mount name
+	TopK       int            `json:"top_k,omitempty"`           // search jobs: requested hit count
+	State      jobstore.State `json:"state"`
+	Error      string         `json:"error,omitempty"` // failure message for failed jobs
+	Pairs      int            `json:"pairs"`           // batch size (alignment) or corpus size (search)
+	ChunkSize  int            `json:"chunk_size"`
+	Chunks     int            `json:"chunks"`      // total chunks
+	ChunksDone int            `json:"chunks_done"` // checkpointed chunks
+
+	CreatedUnixMS int64   `json:"created_unix_ms"`
+	UpdatedUnixMS int64   `json:"updated_unix_ms"`
+	ElapsedMS     float64 `json:"elapsed_ms"` // Updated - Created at snapshot time
 }
 
 // snapshot builds the wire view from a store job.
@@ -43,19 +43,19 @@ func (m *Manager) snapshot(j *jobstore.Job) Snapshot {
 		key = key[i+1:]
 	}
 	s := Snapshot{
-		ID:         j.ID,
-		Key:        key,
-		Tenant:     j.Tenant,
-		Kind:       j.Kind,
-		State:      j.State,
-		Error:      j.Error,
-		Pairs:      len(j.Pairs),
-		ChunkSize:  j.ChunkSize,
-		Chunks:     j.NumChunks(),
-		ChunksDone: j.ChunksDone(),
-		Created:    j.Created,
-		Updated:    j.Updated,
-		Elapsed:    j.Updated.Sub(j.Created),
+		ID:            j.ID,
+		Key:           key,
+		Tenant:        j.Tenant,
+		Kind:          j.Kind,
+		State:         j.State,
+		Error:         j.Error,
+		Pairs:         len(j.Pairs),
+		ChunkSize:     j.ChunkSize,
+		Chunks:        j.NumChunks(),
+		ChunksDone:    j.ChunksDone(),
+		CreatedUnixMS: j.Created.UnixMilli(),
+		UpdatedUnixMS: j.Updated.UnixMilli(),
+		ElapsedMS:     float64(j.Updated.Sub(j.Created)) / float64(time.Millisecond),
 	}
 	if j.Kind == jobstore.KindSearch {
 		s.Corpus = j.Search.Corpus
@@ -63,72 +63,6 @@ func (m *Manager) snapshot(j *jobstore.Job) Snapshot {
 		s.Pairs = j.Search.SeqCount
 	}
 	return s
-}
-
-type snapshotJSON struct {
-	ID            string         `json:"id"`
-	Key           string         `json:"idempotency_key,omitempty"`
-	Tenant        string         `json:"tenant,omitempty"`
-	Kind          string         `json:"kind,omitempty"`
-	Corpus        string         `json:"corpus,omitempty"`
-	TopK          int            `json:"top_k,omitempty"`
-	State         jobstore.State `json:"state"`
-	Error         string         `json:"error,omitempty"`
-	Pairs         int            `json:"pairs"`
-	ChunkSize     int            `json:"chunk_size"`
-	Chunks        int            `json:"chunks"`
-	ChunksDone    int            `json:"chunks_done"`
-	CreatedUnixMS int64          `json:"created_unix_ms"`
-	UpdatedUnixMS int64          `json:"updated_unix_ms"`
-	ElapsedMS     float64        `json:"elapsed_ms"`
-}
-
-// MarshalJSON implements the stable wire format described above.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	return json.Marshal(snapshotJSON{
-		ID:            s.ID,
-		Key:           s.Key,
-		Tenant:        s.Tenant,
-		Kind:          s.Kind,
-		Corpus:        s.Corpus,
-		TopK:          s.TopK,
-		State:         s.State,
-		Error:         s.Error,
-		Pairs:         s.Pairs,
-		ChunkSize:     s.ChunkSize,
-		Chunks:        s.Chunks,
-		ChunksDone:    s.ChunksDone,
-		CreatedUnixMS: s.Created.UnixMilli(),
-		UpdatedUnixMS: s.Updated.UnixMilli(),
-		ElapsedMS:     float64(s.Elapsed) / float64(time.Millisecond),
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON. Timestamps come back with
-// millisecond precision in UTC.
-func (s *Snapshot) UnmarshalJSON(b []byte) error {
-	var in snapshotJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	*s = Snapshot{
-		ID:         in.ID,
-		Key:        in.Key,
-		Tenant:     in.Tenant,
-		Kind:       in.Kind,
-		Corpus:     in.Corpus,
-		TopK:       in.TopK,
-		State:      in.State,
-		Error:      in.Error,
-		Pairs:      in.Pairs,
-		ChunkSize:  in.ChunkSize,
-		Chunks:     in.Chunks,
-		ChunksDone: in.ChunksDone,
-		Created:    time.UnixMilli(in.CreatedUnixMS).UTC(),
-		Updated:    time.UnixMilli(in.UpdatedUnixMS).UTC(),
-		Elapsed:    time.Duration(in.ElapsedMS * float64(time.Millisecond)),
-	}
-	return nil
 }
 
 // Stats is a snapshot of the manager counters, for /statsz and the chaos

@@ -10,19 +10,19 @@ import (
 )
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	created := time.Date(2026, 8, 6, 10, 30, 0, 0, time.UTC)
+	created := time.Date(2026, 8, 6, 10, 30, 0, 0, time.UTC).UnixMilli()
 	in := Snapshot{
-		ID:         "job-00000000deadbeef",
-		Key:        "batch-42",
-		State:      jobstore.StateFailed,
-		Error:      "chunk 3/8: deadline exceeded after 1m0s",
-		Pairs:      100,
-		ChunkSize:  16,
-		Chunks:     7,
-		ChunksDone: 3,
-		Created:    created,
-		Updated:    created.Add(1500 * time.Millisecond),
-		Elapsed:    1500 * time.Millisecond,
+		ID:            "job-00000000deadbeef",
+		Key:           "batch-42",
+		State:         jobstore.StateFailed,
+		Error:         "chunk 3/8: deadline exceeded after 1m0s",
+		Pairs:         100,
+		ChunkSize:     16,
+		Chunks:        7,
+		ChunksDone:    3,
+		CreatedUnixMS: created,
+		UpdatedUnixMS: created + 1500,
+		ElapsedMS:     1500,
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -102,11 +102,11 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 // TestEventJSONRoundTrip pins an SSE frame's wire format: the server writes
 // each Event as {"seq","type","job"} with the job's snapshot inside.
 func TestEventJSONRoundTrip(t *testing.T) {
-	created := time.Date(2026, 8, 6, 10, 30, 0, 0, time.UTC)
+	created := time.Date(2026, 8, 6, 10, 30, 0, 0, time.UTC).UnixMilli()
 	in := Event{Seq: 7, Type: EventChunk, Job: Snapshot{
 		ID: "job-1", State: jobstore.StateRunning, Pairs: 64, ChunkSize: 16,
-		Chunks: 4, ChunksDone: 2, Created: created, Updated: created.Add(time.Second),
-		Elapsed: time.Second,
+		Chunks: 4, ChunksDone: 2, CreatedUnixMS: created, UpdatedUnixMS: created + 1000,
+		ElapsedMS: 1000,
 	}}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -125,5 +125,31 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
+	}
+}
+
+// TestSnapshotWireBytes pins the exact bytes /jobs bodies and SSE frames
+// carry for a full snapshot and for one whose optional fields are empty:
+// each decodes and re-encodes to itself, byte for byte.
+func TestSnapshotWireBytes(t *testing.T) {
+	for _, wire := range []string{
+		`{"id":"job-00000000deadbeef","idempotency_key":"batch-42","tenant":"acme","kind":"search",` +
+			`"corpus":"ref","top_k":10,"state":"failed","error":"chunk 3/8: deadline exceeded after 1m0s",` +
+			`"pairs":100,"chunk_size":16,"chunks":7,"chunks_done":3,"created_unix_ms":1786012200000,` +
+			`"updated_unix_ms":1786012201500,"elapsed_ms":1500.25}`,
+		`{"id":"job-1","state":"queued","pairs":0,"chunk_size":0,"chunks":0,"chunks_done":0,` +
+			`"created_unix_ms":0,"updated_unix_ms":0,"elapsed_ms":0}`,
+	} {
+		var s Snapshot
+		if err := json.Unmarshal([]byte(wire), &s); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != wire {
+			t.Errorf("re-encoded:\n got %s\nwant %s", b, wire)
+		}
 	}
 }

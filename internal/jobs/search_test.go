@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,4 +241,58 @@ func TestSearchJobRetiredEditStage(t *testing.T) {
 		t.Fatalf("new submission's record: %+v, want a search spec with max_edits -1", j)
 	}
 	waitState(t, m, snap.ID, jobstore.StateDone, 10*time.Second)
+}
+
+// panicOnceBackend panics on its first call, standing in for an engine
+// bug, and scores normally after.
+type panicOnceBackend struct {
+	alignsvc.Backend
+	fired *atomic.Bool
+}
+
+func (b panicOnceBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
+	if b.fired.CompareAndSwap(false, true) {
+		panic("injected engine panic")
+	}
+	return b.Backend.AlignBatch(ctx, pairs, opts)
+}
+
+// TestSearchJobRecoversBackendPanic runs a search job whose corpus scores
+// through a service whose backend panics on its first call. The service
+// recovers the panic in the job runner's goroutine and scores that batch
+// on the scalar reference, so the job ends done with the hits of a bare
+// striped search, and the service counts one recovered panic.
+func TestSearchJobRecoversBackendPanic(t *testing.T) {
+	c, q := newSearchCorpus(t, 200)
+	var fired atomic.Bool
+	svc := newTestService(t, func(be alignsvc.Backend) alignsvc.Backend {
+		return panicOnceBackend{Backend: be, fired: &fired}
+	})
+	reg := corpus.NewRegistry()
+	if err := reg.Add("ref", c, corpus.NewSearcher(c, svc, nil)); err != nil {
+		t.Fatal(err)
+	}
+	m, store := newTestManager(t, t.TempDir(), svc, func(cfg *Config) {
+		cfg.Corpora = reg
+		cfg.SearchChunkSize = 50
+	})
+	defer store.Close()
+	defer m.Close()
+
+	params := corpus.Params{TopK: 5, MinKmerHits: -1}
+	snap, _, err := m.SubmitFor(Request{Search: &Search{Corpus: "ref", Query: q, Params: params}}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, snap.ID, jobstore.StateDone, 10*time.Second)
+	want, err := corpus.NewSearcher(c, stripedBackend(t), nil).Search(context.Background(), q, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultOf(t, m, snap.ID).Hits; !reflect.DeepEqual(got, want.Hits) {
+		t.Fatalf("job hits %v, striped search %v", got, want.Hits)
+	}
+	if st := svc.Stats(); !fired.Load() || st.PanicsRecovered != 1 || st.Fallbacks != 1 {
+		t.Fatalf("panic fired %v, service stats %+v, want 1 recovered panic and 1 fallback", fired.Load(), st)
+	}
 }

@@ -10,53 +10,38 @@ import (
 	"repro/internal/alignsvc"
 )
 
-// postAlignBackend is postAlign with an X-SWA-Backend header.
-func postAlignBackend(t *testing.T, url, backend string, body any) (int, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url+"/align", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(BackendHeader, backend)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, raw
-}
-
-// TestBackendHeaderOverride verifies the X-SWA-Backend header steers one
-// request to each named backend (visible in the report's serving tier) with
-// exact scores and no fallback, and that an unknown name is rejected as
-// bad_backend before any work runs.
-func TestBackendHeaderOverride(t *testing.T) {
+// TestAlignIgnoresEngineHeader pins that a request cannot choose its
+// engine: /align with the retired engine-override header, naming the
+// simulated bitwise engine or no engine at all, is served by the
+// service's striped backend with exact scores, like a request without it.
+// The header is spelled in lower case; HTTP header names are
+// case-insensitive.
+func TestAlignIgnoresEngineHeader(t *testing.T) {
 	_, ts := newTestServer(t, alignsvc.Config{Backend: alignsvc.BackendStriped}, Config{})
 	pairs, want := testPairs(24, 20, 40, 11)
-
-	tiers := map[string]alignsvc.Tier{
-		alignsvc.BackendStriped:     alignsvc.TierStriped,
-		alignsvc.BackendBitwiseSim:  alignsvc.TierBitwise,
-		alignsvc.BackendWordwiseSim: alignsvc.TierWordwise,
-		alignsvc.BackendCPURef:      alignsvc.TierCPU,
+	body, err := json.Marshal(AlignRequest{Pairs: pairsJSON(pairs)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, backend := range alignsvc.BackendNames() {
-		tier, ok := tiers[backend]
-		if !ok {
-			t.Fatalf("no serving tier listed for backend %q", backend)
+	for _, engine := range []string{"", alignsvc.BackendBitwiseSim, "warp-drive"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/align", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		status, raw := postAlignBackend(t, ts.URL, backend, AlignRequest{Pairs: pairsJSON(pairs)})
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", backend, status, raw)
+		if engine != "" {
+			req.Header.Set("x-swa-backend", engine)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("header %q: status %d: %s", engine, resp.StatusCode, raw)
 		}
 		var res AlignResponse
 		if err := json.Unmarshal(raw, &res); err != nil {
@@ -64,33 +49,12 @@ func TestBackendHeaderOverride(t *testing.T) {
 		}
 		for i := range want {
 			if res.Scores[i] != want[i] {
-				t.Fatalf("%s: score[%d] = %d, want %d", backend, i, res.Scores[i], want[i])
+				t.Fatalf("header %q: score[%d] = %d, want %d", engine, i, res.Scores[i], want[i])
 			}
 		}
-		if res.Report.Tier != tier || res.Report.Fallbacks != 0 {
-			t.Fatalf("%s: report %s, want %v with no fallback", backend, res.Report, tier)
+		if res.Report.Tier != alignsvc.TierStriped || res.Report.Fallbacks != 0 {
+			t.Fatalf("header %q: report %s, want striped with no fallback", engine, res.Report)
 		}
-	}
-
-	// No header: the configured default (striped) serves.
-	status, raw := postAlign(t, ts.URL, AlignRequest{Pairs: pairsJSON(pairs)})
-	if status != http.StatusOK {
-		t.Fatalf("default: status %d: %s", status, raw)
-	}
-	var res AlignResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Tier != alignsvc.TierStriped {
-		t.Fatalf("default served by %v, want striped", res.Report.Tier)
-	}
-
-	status, raw = postAlignBackend(t, ts.URL, "warp-drive", AlignRequest{Pairs: pairsJSON(pairs)})
-	if status != http.StatusBadRequest {
-		t.Fatalf("unknown backend: status %d: %s", status, raw)
-	}
-	if e := decodeError(t, raw); e.Code != CodeBadBackend {
-		t.Fatalf("unknown backend: code %q, want %q", e.Code, CodeBadBackend)
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -287,7 +289,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	if err := waitForPeerState(n0.ts.URL, "n2", cluster.Quarantined); err != nil {
 		fail("n0 never quarantined n2 after kill: %v", err)
 	}
-	if err := checkMetric(n0.ts.URL, fmt.Sprintf(`cluster_peer_state{peer="n2"} %d`, int(cluster.Quarantined))); err != nil {
+	quarantined := float64(cluster.Quarantined)
+	if err := checkMetric(n0.ts.URL, `cluster_peer_state{peer="n2"}`, quarantined, quarantined); err != nil {
 		fail("%v", err)
 	}
 	st0, err = clusterStatsOf(n0.ts.URL)
@@ -311,7 +314,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	if err := waitForPeerState(n0.ts.URL, "n2", cluster.Healthy); err != nil {
 		fail("n0 never readmitted n2 after revive: %v", err)
 	}
-	if err := checkMetric(n0.ts.URL, `cluster_readmissions_total{peer="n2"}`); err != nil {
+	if err := checkMetric(n0.ts.URL, `cluster_readmissions_total{peer="n2"}`, 1, math.Inf(1)); err != nil {
 		fail("%v", err)
 	}
 	st0, err = clusterStatsOf(n0.ts.URL)
@@ -665,7 +668,7 @@ func TestForwardLoopGuard(t *testing.T) {
 	if st.ForwardedServed != 1 || st.LoopRejects != 2 {
 		t.Fatalf("forwarded_served=%d loop_rejects=%d, want 1 and 2", st.ForwardedServed, st.LoopRejects)
 	}
-	if err := checkMetric(ts.URL, "cluster_loop_rejects_total 2"); err != nil {
+	if err := checkMetric(ts.URL, "cluster_loop_rejects_total", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -726,10 +729,12 @@ func TestClusterSingleNodeIdentity(t *testing.T) {
 	}
 }
 
-// checkMetric polls until one rendered line is present in /metricsz (a
-// peer's state may flip again, by a probe or a forward, between the
-// caller's /statsz read and the scrape).
-func checkMetric(base, line string) error {
+// checkMetric polls until /metricsz renders series with a value in
+// [lo, hi] (a peer's state may flip again, by a probe or a forward,
+// between the caller's /statsz read and the scrape). It parses the
+// sample's value: a counter is rendered from its registration on, so its
+// name alone would also match its 0 line.
+func checkMetric(base, series string, lo, hi float64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(base + "/metricsz")
@@ -741,14 +746,29 @@ func checkMetric(base, line string) error {
 		if err != nil {
 			return err
 		}
-		if strings.Contains(string(raw), line) {
+		v, found := metricSample(string(raw), series)
+		if found && v >= lo && v <= hi {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("/metricsz missing %q", line)
+			if !found {
+				return fmt.Errorf("/metricsz has no %s sample", series)
+			}
+			return fmt.Errorf("/metricsz %s = %v, want [%v, %v]", series, v, lo, hi)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// metricSample returns the value of series in a Prometheus text body.
+func metricSample(body, series string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
 
 func getServerJSON(url string, v any) error {

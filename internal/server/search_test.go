@@ -12,8 +12,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +26,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/pipeline"
+	"repro/internal/swa"
 	"repro/internal/tenant"
 )
 
@@ -401,5 +405,146 @@ func TestSearchTenantCellQuota(t *testing.T) {
 	// Prefiltered: a handful of candidates, well under budget.
 	if status, errResp = post(SearchRequest{Query: q.String()}); status != http.StatusOK {
 		t.Fatalf("prefiltered: status %d (%+v)", status, errResp)
+	}
+}
+
+// newServiceSearchServer starts a server whose corpus c, mounted as "ref",
+// scores its candidates through the server's own service, as swaserver
+// mounts it.
+func newServiceSearchServer(t *testing.T, scfg alignsvc.Config, cfg Config, c *corpus.Corpus) (*alignsvc.Service, *httptest.Server) {
+	t.Helper()
+	svc := alignsvc.New(scfg)
+	t.Cleanup(svc.Close)
+	cfg.Service = svc
+	cfg.Corpora = corpus.NewRegistry()
+	if err := cfg.Corpora.Add("ref", c, corpus.NewSearcher(c, svc, nil)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return svc, ts
+}
+
+// TestSearchFallsBackThroughService mounts a corpus of 100–156-base
+// sequences behind a bitwise-sim service. The simulated kernels reject a
+// batch whose texts differ in length, so the service answers each
+// candidate batch from the scalar reference: /search answers 200 with the
+// hits of a brute-force swa.Score ranking, and the service counts the
+// fallbacks.
+func TestSearchFallsBackThroughService(t *testing.T) {
+	rng := rand.New(rand.NewPCG(100, 156))
+	q := dna.RandSeq(rng, 64)
+	recs := make([]dna.Record, 300)
+	for i := range recs {
+		recs[i] = dna.Record{Name: fmt.Sprintf("mixed-%03d", i), Seq: dna.RandSeq(rng, 100+rng.IntN(57))}
+	}
+	c, err := corpus.Build(t.TempDir(), recs, corpus.IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newServiceSearchServer(t, alignsvc.Config{Backend: alignsvc.BackendBitwiseSim}, Config{}, c)
+
+	var got SearchResponse
+	resp := doJSON(t, http.MethodPost, ts.URL+"/search",
+		SearchRequest{Query: q.String(), TopK: 10, MinKmerHits: -1}, &got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/search status %d", resp.StatusCode)
+	}
+	brute := make([]corpus.Hit, len(recs))
+	for i, r := range recs {
+		brute[i] = corpus.Hit{ID: i, Name: r.Name, Score: swa.Score(q, r.Seq, swa.PaperScoring)}
+	}
+	if want := corpus.RankHits(brute, 10); !reflect.DeepEqual(got.Hits, want) {
+		t.Fatalf("/search hits %v, brute force %v", got.Hits, want)
+	}
+	var statsz StatszResponse
+	doJSON(t, http.MethodGet, ts.URL+"/statsz", nil, &statsz)
+	if statsz.Service.Fallbacks == 0 || statsz.Service.Backend != alignsvc.BackendBitwiseSim {
+		t.Fatalf("service stats %+v, want bitwise-sim with fallbacks", statsz.Service)
+	}
+	if inv := statsz.Search.Corpora; len(inv) != 1 || inv[0].Backend != alignsvc.BackendBitwiseSim {
+		t.Fatalf("corpus inventory %+v, want the service's backend", inv)
+	}
+}
+
+// peakBackend records the most AlignBatch calls in progress at once.
+type peakBackend struct {
+	alignsvc.Backend
+	cur, peak *atomic.Int64
+}
+
+func (b peakBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
+	n := b.cur.Add(1)
+	defer b.cur.Add(-1)
+	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
+	}
+	return b.Backend.AlignBatch(ctx, pairs, opts)
+}
+
+// TestSearchSharesEngineSlots pins that /search takes the engine slots
+// /align takes: with Workers 1 and a backend that holds every call for
+// 20 ms, concurrent /align batches and /search queries never score at
+// once, and every answer is exact.
+func TestSearchSharesEngineSlots(t *testing.T) {
+	corpora, q := newServerCorpus(t, 200)
+	h, _ := corpora.Get("ref")
+	var cur, peak atomic.Int64
+	svc, ts := newServiceSearchServer(t, alignsvc.Config{
+		Backend: alignsvc.BackendStriped,
+		Workers: 1,
+		Wrap: func(be alignsvc.Backend) alignsvc.Backend {
+			return peakBackend{Backend: slowBackend{Backend: be, hold: 20 * time.Millisecond}, cur: &cur, peak: &peak}
+		},
+	}, Config{MaxInFlight: 8}, h.Corpus) // admit all 8 requests at once on any host
+	want, err := h.Searcher.Search(context.Background(), q, corpus.Params{TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHits, _ := json.Marshal(want.Hits)
+	pairs, wantScores := testPairs(8, 16, 32, 5)
+	alignBody := AlignRequest{Pairs: pairsJSON(pairs)}
+	searchBody := mustJSON(t, SearchRequest{Query: q.String(), TopK: 5})
+
+	const rounds = 4
+	var wg sync.WaitGroup
+	for range rounds {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			status, raw, err := tryPostAlign(ts.URL, alignBody)
+			var res AlignResponse
+			if err == nil && status == http.StatusOK {
+				err = json.Unmarshal(raw, &res)
+			}
+			if err != nil || status != http.StatusOK || !reflect.DeepEqual(res.Scores, wantScores) {
+				t.Errorf("/align: status %d, err %v, body %s", status, err, raw)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/search", "application/json", strings.NewReader(searchBody))
+			if err != nil {
+				t.Errorf("/search: %v", err)
+				return
+			}
+			defer resp.Body.Close()
+			var res SearchResponse
+			err = json.NewDecoder(resp.Body).Decode(&res)
+			hits, _ := json.Marshal(res.Hits)
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(hits, wantHits) {
+				t.Errorf("/search: status %d, err %v, hits %s, want %s", resp.StatusCode, err, hits, wantHits)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := svc.Stats(); st.Batches < 2*rounds {
+		t.Fatalf("service scored %d batches, want at least %d", st.Batches, 2*rounds)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("peak concurrent backend calls = %d, want Workers = 1", p)
 	}
 }

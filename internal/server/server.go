@@ -147,10 +147,6 @@ const (
 	// tried to bounce the batch around the cluster.
 	CodeForwardLoop = "forward_loop"
 
-	// CodeBadBackend rejects an X-SWA-Backend header naming an unknown
-	// serving backend.
-	CodeBadBackend = "bad_backend"
-
 	// CodeBadTenant rejects credentials that resolve to no tenant: an
 	// unknown API key, an unknown or key-protected tenant named by bare
 	// header, or a key/header pair naming different tenants (401).
@@ -180,10 +176,6 @@ const (
 	APIKeyHeader = "X-SWA-API-Key"
 	TenantHeader = "X-SWA-Tenant"
 )
-
-// BackendHeader is the request header that overrides the serving backend
-// for one /align request (see alignsvc.BackendNames for the valid values).
-const BackendHeader = "X-SWA-Backend"
 
 // AlignRequest is the /align request body. Either Pairs or Preset must be
 // set. TimeoutMS overrides the server's default deadline (capped at
@@ -554,16 +546,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-request backend override, validated before paying for admission.
-	backend := r.Header.Get(BackendHeader)
-	if backend != "" && !validBackend(backend) {
-		s.rejected.Add(1)
-		s.writeError(w, r, http.StatusBadRequest, CodeBadBackend,
-			fmt.Sprintf("unknown backend %q (valid: %s)", backend,
-				strings.Join(alignsvc.BackendNames(), ", ")))
-		return
-	}
-
 	if !s.charge(w, r, t, func() int64 { return alignsvc.Cells(pairs) }) {
 		return
 	}
@@ -584,17 +566,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		// the local service directly, which is what terminates every chain.
 		align = s.cfg.Cluster.Align
 	}
-	if backend != "" {
-		// An explicit backend override serves on the local service,
-		// bypassing the cluster ring: the ring exists to land pairs on warm
-		// caches, and the cache is backend-agnostic by key construction, so
-		// forwarding steered traffic would add a hop without changing the
-		// answer. This also keeps override semantics identical with and
-		// without a cluster.
-		align = func(ctx context.Context, pairs []dna.Pair) (*alignsvc.BatchResult, error) {
-			return s.cfg.Service.AlignBackend(ctx, pairs, backend)
-		}
-	}
 	res, err := align(ctx, pairs)
 	if err != nil {
 		s.writeAlignError(w, r, err)
@@ -605,17 +576,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Cluster.NoteForwardedServed()
 	}
 	writeJSON(w, http.StatusOK, AlignResponse{Scores: res.Scores, Report: res.Report})
-}
-
-// validBackend reports whether name is a serving backend AlignBackend will
-// accept.
-func validBackend(name string) bool {
-	for _, n := range alignsvc.BackendNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // forwardChain parses the X-SWA-Forwarded header into its hop list.
