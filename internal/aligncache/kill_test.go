@@ -6,9 +6,13 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/cudasim"
 )
+
+// deviceLostError stands in for a typed engine failure, such as a device
+// lost mid-launch, that a flight's leader publishes to its followers.
+type deviceLostError struct{}
+
+func (*deviceLostError) Error() string { return "device lost" }
 
 // When the leader's device is killed mid-flight, every follower must get the
 // typed device-loss error promptly — never hang — and the failed flight must
@@ -51,8 +55,7 @@ func TestSingleflightLeaderKilledTyped(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	killErr := &cudasim.KilledError{Op: cudasim.FaultLaunch}
-	c.Fulfill(k, flight, 0, Cost(x, y), killErr)
+	c.Fulfill(k, flight, 0, Cost(x, y), &deviceLostError{})
 
 	wg.Wait()
 	close(errs)
@@ -63,7 +66,8 @@ func TestSingleflightLeaderKilledTyped(t *testing.T) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			t.Fatal("follower hung until its deadline instead of being released")
 		}
-		if !errors.Is(err, cudasim.ErrDeviceKilled) {
+		var lost *deviceLostError
+		if !errors.As(err, &lost) {
 			t.Fatalf("follower error not typed: %v", err)
 		}
 	}

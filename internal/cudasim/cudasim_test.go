@@ -1,6 +1,7 @@
 package cudasim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -52,6 +53,21 @@ func TestAllocErrors(t *testing.T) {
 	}
 	if err := d.MemcpyDtoH(make([]byte, 512), buf); err == nil {
 		t.Error("oversized DtoH should fail")
+	}
+}
+
+// Regression: (bytes+255)&^255 used to wrap negative for huge requests and
+// slip past the out-of-memory check, handing out a bogus buffer.
+func TestAllocOverflowGuard(t *testing.T) {
+	d := NewDevice(perfmodel.TitanX, 1024)
+	for _, bytes := range []int64{math.MaxInt64, math.MaxInt64 - 100, math.MaxInt64 - 255} {
+		if _, err := d.Alloc(bytes); err == nil {
+			t.Errorf("Alloc(%d) succeeded on a 1 KiB device", bytes)
+		}
+	}
+	// The guard must not break ordinary allocations.
+	if _, err := d.Alloc(512); err != nil {
+		t.Fatalf("Alloc(512): %v", err)
 	}
 }
 

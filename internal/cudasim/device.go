@@ -48,7 +48,6 @@ type Device struct {
 	capacity int64  // declared device global-memory size
 	hostCap  int64  // hard cap on host bytes actually backed
 	used     int64
-	faults   *FaultInjector
 }
 
 // NewDevice creates a device with the given global-memory capacity. No host
@@ -92,10 +91,6 @@ func (e *HostOOMError) Error() string {
 	return fmt.Sprintf("cudasim: device backing needs %d host bytes, cap is %d", e.Need, e.Limit)
 }
 
-// InjectFaults attaches a deterministic fault injector to the device. A nil
-// injector (the default) disables injection. Call before issuing work.
-func (d *Device) InjectFaults(f *FaultInjector) { d.faults = f }
-
 // Buf is a region of device global memory.
 type Buf struct {
 	off, size int64
@@ -115,9 +110,6 @@ func (d *Device) Alloc(bytes int64) (Buf, error) {
 	if bytes > math.MaxInt64-255 {
 		return Buf{}, fmt.Errorf("cudasim: out of global memory (%d requested, %d free)",
 			bytes, d.capacity-d.used)
-	}
-	if err := d.faults.trip(FaultAlloc); err != nil {
-		return Buf{}, err
 	}
 	aligned := (bytes + 255) &^ 255
 	if d.used+aligned > d.capacity {
@@ -161,13 +153,7 @@ func (d *Device) MemcpyHtoD(dst Buf, src []byte) error {
 	if int64(len(src)) > dst.size {
 		return fmt.Errorf("cudasim: HtoD copy of %d bytes into %d-byte buffer", len(src), dst.size)
 	}
-	if err := d.faults.trip(FaultHtoD); err != nil {
-		return err
-	}
 	copy(d.global[dst.off:dst.off+int64(len(src))], src)
-	if bit := d.faults.flipBit(len(src)); bit >= 0 {
-		d.global[dst.off+bit/8] ^= 1 << (bit % 8)
-	}
 	return nil
 }
 
@@ -176,13 +162,7 @@ func (d *Device) MemcpyDtoH(dst []byte, src Buf) error {
 	if int64(len(dst)) > src.size {
 		return fmt.Errorf("cudasim: DtoH copy of %d bytes from %d-byte buffer", len(dst), src.size)
 	}
-	if err := d.faults.trip(FaultDtoH); err != nil {
-		return err
-	}
 	copy(dst, d.global[src.off:src.off+int64(len(dst))])
-	if bit := d.faults.flipBit(len(dst)); bit >= 0 {
-		dst[bit/8] ^= 1 << (bit % 8)
-	}
 	return nil
 }
 
@@ -253,9 +233,6 @@ func (d *Device) LaunchCtx(ctx context.Context, blocks, threadsPerBlock int, k K
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := d.faults.trip(FaultLaunch); err != nil {
-		return nil, err
-	}
 	total := &LaunchStats{Blocks: blocks, ThreadsPerBlock: threadsPerBlock}
 	workers := min(runtime.GOMAXPROCS(0), blocks)
 	var next atomic.Int64
@@ -292,12 +269,6 @@ func (d *Device) LaunchCtx(ctx context.Context, blocks, threadsPerBlock int, k K
 			}()
 			local := &locals[w]
 			for ctx.Err() == nil && !abort.Load() {
-				if d.faults.killedNow() {
-					// Device died mid-launch: stop claiming blocks so the
-					// kill is observed within one block's runtime.
-					abort.Store(true)
-					break
-				}
 				bi := int(next.Add(1)) - 1
 				if bi >= blocks {
 					break
@@ -321,12 +292,6 @@ func (d *Device) LaunchCtx(ctx context.Context, blocks, threadsPerBlock int, k K
 	}
 	if firstPanic != nil {
 		return total, fmt.Errorf("cudasim: kernel panicked in block %d: %v", firstPanic.block, firstPanic.val)
-	}
-	if d.faults.killedNow() {
-		// The device was killed while the grid ran. Partial stats are still
-		// returned (accurate for the blocks that completed), but the launch
-		// as a whole failed with the typed device-loss error.
-		return total, &KilledError{Op: FaultLaunch}
 	}
 	if err := ctx.Err(); err != nil {
 		return total, err

@@ -2,6 +2,7 @@ package cudasim
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -82,6 +83,36 @@ func TestPartialStatsOnPanic(t *testing.T) {
 	}
 	if stats.ALUOps != 40 {
 		t.Errorf("partial ALUOps = %d, want 40 (the panicking worker's tallies)", stats.ALUOps)
+	}
+}
+
+func TestLaunchCtxCancellation(t *testing.T) {
+	d := NewDevice(perfmodel.TitanX, 1<<16)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	noop := KernelFunc(func(b *Block) {})
+	if _, err := d.LaunchCtx(ctx, 4, 32, noop); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+func TestLaunchCtxCancelMidGrid(t *testing.T) {
+	d := NewDevice(perfmodel.TitanX, 1<<16)
+	ctx, cancel := context.WithCancel(context.Background())
+	// Up to GOMAXPROCS workers run the kernel at once, so they share one
+	// atomic count.
+	var ran atomic.Int64
+	k := KernelFunc(func(b *Block) {
+		if ran.Add(1) == 2 {
+			cancel()
+		}
+	})
+	_, err := d.LaunchCtx(ctx, 1_000_000, 1, k)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if ran.Load() >= 1_000_000 {
+		t.Fatal("cancellation did not stop the block loop early")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cudasim"
 	"repro/internal/dna"
 )
 
@@ -73,29 +72,5 @@ func TestRunBitwiseCancelledContext(t *testing.T) {
 	}
 	if _, err := RunWordwise(ctx, pairs, Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wordwise: want context.Canceled, got %v", err)
-	}
-}
-
-func TestRunBitwiseInjectedTransferFault(t *testing.T) {
-	pairs := errPairs(t, 32, 16, 64)
-	cfg := Config{Faults: cudasim.NewFaultInjector(cudasim.FaultConfig{Seed: 5, HtoD: 1})}
-	_, err := RunBitwise[uint32](context.Background(), pairs, cfg)
-	if !errors.Is(err, cudasim.ErrInjected) {
-		t.Fatalf("want injected fault, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "H2G") {
-		t.Fatalf("fault should be attributed to the H2G stage: %v", err)
-	}
-}
-
-func TestRunBitwiseInjectedLaunchFault(t *testing.T) {
-	pairs := errPairs(t, 32, 16, 64)
-	cfg := Config{Faults: cudasim.NewFaultInjector(cudasim.FaultConfig{Seed: 5, Launch: 1})}
-	_, err := RunBitwise[uint32](context.Background(), pairs, cfg)
-	if !errors.Is(err, cudasim.ErrInjected) {
-		t.Fatalf("want injected fault, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "W2B") {
-		t.Fatalf("first launch fault should hit the W2B stage: %v", err)
 	}
 }

@@ -41,10 +41,6 @@ type Config struct {
 	// automatically for the batch). Small values force allocation failures,
 	// which the alignsvc fallback and OOM tests rely on.
 	GlobalBytes int64
-	// Faults, when non-nil, is attached to the simulated device so
-	// transfers, allocations and launches can fail (or flip bits)
-	// deterministically. See cudasim.FaultConfig.
-	Faults *cudasim.FaultInjector
 	// Metrics receives the per-stage latency histograms, run counters and
 	// GCUPS figures (nil = obs.Default()). Tests pass a private registry.
 	Metrics *obs.Registry
@@ -306,15 +302,13 @@ func RunWordwise(ctx context.Context, pairs []dna.Pair, cfg Config) (res *Result
 }
 
 // newDevice builds the simulated device for a run, honouring the capacity
-// override and attaching the fault injector if configured.
+// override.
 func newDevice(cfg Config, l kernels.Layout) *cudasim.Device {
 	bytes := cfg.GlobalBytes
 	if bytes == 0 {
 		bytes = deviceBytes(l)
 	}
-	dev := cudasim.NewDevice(cfg.Device, bytes)
-	dev.InjectFaults(cfg.Faults)
-	return dev
+	return cudasim.NewDevice(cfg.Device, bytes)
 }
 
 // wrapStage names the failing pipeline stage while keeping context errors

@@ -351,10 +351,10 @@ func TestPipelineErrorCountsRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	rng := rand.New(rand.NewPCG(10, 10))
 	pairs := dna.RandomPairs(rng, 8, 16, 64)
-	inj := cudasim.NewFaultInjector(cudasim.FaultConfig{Seed: 3, Launch: 1})
-	_, err := RunWordwise(context.Background(), pairs, Config{Metrics: reg, Faults: inj})
+	// 64 bytes of device memory cannot hold the first buffer.
+	_, err := RunWordwise(context.Background(), pairs, Config{Metrics: reg, GlobalBytes: 64})
 	if err == nil {
-		t.Fatal("forced launch fault did not error")
+		t.Fatal("forced device OOM did not error")
 	}
 	if c := reg.Counter(obs.L("pipeline_runs_total", "pipeline", "wordwise", "result", "error")); c.Value() != 1 {
 		t.Errorf("runs error = %d, want 1", c.Value())
