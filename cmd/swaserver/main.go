@@ -100,7 +100,6 @@ func main() {
 	workers := flag.Int("workers", 0, "service engine slots: batches scoring at once (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "score-cache size bound in bytes (0 disables the cache)")
 	cacheTTL := flag.Duration("cache-ttl", 10*time.Minute, "score-cache entry lifetime (0 = no expiry)")
-	cacheShards := flag.Int("cache-shards", 16, "score-cache shard count")
 
 	nodeID := flag.String("node-id", "", "this node's stable cluster identity (required with -peers)")
 	peers := flag.String("peers", "", "static cluster peers as id=url,id=url (empty = single node, no cluster)")
@@ -162,18 +161,16 @@ func main() {
 			reg.Len(), *tenantsFile)
 	}
 
-	// The content-addressed score cache: identical (pattern, text, scoring,
-	// lanes) pairs across requests and job chunks compute once. -cache-bytes=0
-	// turns it off, leaving the serving path byte-identical to the uncached
-	// build.
+	// The content-addressed score cache: a (pattern, text, scoring, lanes)
+	// pair scored once is served from memory to later requests and job
+	// chunks. -cache-bytes=0 turns it off, leaving the serving path
+	// byte-identical to the uncached build.
 	cache := aligncache.New(aligncache.Config{
 		MaxBytes: *cacheBytes,
 		TTL:      *cacheTTL,
-		Shards:   *cacheShards,
 	})
 	if cache.Enabled() {
-		log.Printf("swaserver: score cache enabled: %d MiB, ttl %v, %d shards",
-			*cacheBytes>>20, *cacheTTL, *cacheShards)
+		log.Printf("swaserver: score cache enabled: %d MiB, ttl %v", *cacheBytes>>20, *cacheTTL)
 	}
 
 	svc := alignsvc.New(alignsvc.Config{

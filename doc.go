@@ -30,8 +30,8 @@
 //   - internal/alignsvc, internal/aligncache, internal/server,
 //     internal/jobs — the serving layer: a batch service whose failed
 //     batches fall back once to the scalar reference, a content-addressed
-//     score cache with singleflight deduplication, the HTTP front end, and durable
-//     WAL-backed async alignment and search jobs whose recovery warms the cache.
+//     score cache, the HTTP front end, and durable WAL-backed async
+//     alignment and search jobs whose recovery warms the cache.
 //   - internal/bench, internal/tables, internal/stats — measurement:
 //     machine-readable benchmark documents and the paper's tables/figures.
 //
@@ -39,7 +39,7 @@
 //
 // Command-line tools live under cmd/: swalign (one-shot alignment), swabench
 // (tables, figures, and BENCH_pipeline.json), swaserver (the HTTP service,
-// including the -cache-bytes/-cache-ttl/-cache-shards score-cache flags),
+// including the -cache-bytes/-cache-ttl score-cache flags),
 // bpbcdemo and dbfilter. Runnable walkthroughs are under examples/
 // (quickstart, dbscreen, proteinscreen, gpusim, circuitdemo, gameoflife).
 // The benchmark harness that regenerates every table and figure of the

@@ -7,20 +7,21 @@
 // job replay re-submits the same chunks), and a hit costs one hash and one
 // map lookup instead of the full bit-parallel dynamic program.
 //
-// Three mechanisms keep the cache honest under load:
+// Two mechanisms bound the cache:
 //
 //   - Bounded memory: every entry is charged its sequence bytes plus a fixed
 //     overhead against MaxBytes; inserting past the bound evicts from the
 //     least-recently-used tail.
 //   - TTL: entries older than TTL are treated as misses and evicted on
 //     contact, so a long-lived server does not serve unbounded-age results.
-//   - Singleflight: concurrent lookups of the same key coalesce onto one
-//     in-flight computation (Lookup elects a leader; followers Wait on its
-//     Flight), so a thundering herd of identical requests computes once.
 //
-// Every operation is instrumented through internal/obs: hit/miss/coalesced
-// and per-reason eviction counters, entry and byte gauges, and a
-// lookup-latency histogram, all under the aligncache_ metric prefix.
+// A miss is only a miss: the caller scores the pair and Puts it. Two callers
+// that miss the same key at once both score it, because a missed pair costs
+// microseconds on the striped engine, less than coordinating them would.
+//
+// Every operation is instrumented through internal/obs: hit/miss and
+// per-reason eviction counters, entry and byte gauges, and a lookup-latency
+// histogram, all under the aligncache_ metric prefix.
 //
 // A nil *Cache is valid and inert: every method is a no-op returning a miss,
 // so callers wire `var c *aligncache.Cache` through unconditionally and the
@@ -29,7 +30,6 @@ package aligncache
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
@@ -130,28 +130,6 @@ type Config struct {
 	now func() time.Time
 }
 
-// Flight is one in-flight computation of a key. The leader that Lookup
-// elected computes the score and publishes it with Cache.Fulfill; followers
-// block in Wait until then.
-type Flight struct {
-	done  chan struct{}
-	score int
-	err   error
-}
-
-// Wait blocks until the leader fulfills the flight or ctx expires, then
-// returns the leader's score or error. A ctx error belongs to the waiter; a
-// flight error means the leader's computation failed and the waiter should
-// recompute (or propagate) itself.
-func (f *Flight) Wait(ctx context.Context) (int, error) {
-	select {
-	case <-f.done:
-		return f.score, f.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
 // entry is one cached score. Entries live in a shard's LRU list; the map
 // points at the list element.
 type entry struct {
@@ -162,28 +140,27 @@ type entry struct {
 }
 
 type shard struct {
-	mu      sync.Mutex
-	byKey   map[Key]*list.Element // -> *entry (element value)
-	lru     *list.List            // front = most recently used
-	flights map[Key]*Flight
-	bytes   int64
+	mu    sync.Mutex
+	byKey map[Key]*list.Element // -> *entry (element value)
+	lru   *list.List            // front = most recently used
+	bytes int64
 }
 
-// Cache is a sharded, bounded, TTL-expiring score cache with singleflight
-// in-flight dedup. Create with New; all methods are safe for concurrent use
-// and safe on a nil receiver (inert misses).
+// Cache is a sharded, bounded, TTL-expiring score cache. Create with New;
+// all methods are safe for concurrent use and safe on a nil receiver (inert
+// misses).
 type Cache struct {
 	cfg    Config
 	shards []*shard
 
-	hits, misses, coalesced atomic.Int64
-	evictLRU, evictTTL      atomic.Int64
-	entries, bytes          atomic.Int64
+	hits, misses       atomic.Int64
+	evictLRU, evictTTL atomic.Int64
+	entries, bytes     atomic.Int64
 
-	mHits, mMisses, mCoalesced *obs.Counter
-	mEvictLRU, mEvictTTL       *obs.Counter
-	gEntries, gBytes           *obs.Gauge
-	lookupLat                  *obs.Histogram
+	mHits, mMisses       *obs.Counter
+	mEvictLRU, mEvictTTL *obs.Counter
+	gEntries, gBytes     *obs.Gauge
+	lookupLat            *obs.Histogram
 }
 
 // New builds a cache, or returns nil (the inert cache) when cfg.MaxBytes
@@ -203,23 +180,17 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			byKey:   make(map[Key]*list.Element),
-			lru:     list.New(),
-			flights: make(map[Key]*Flight),
-		}
+		c.shards[i] = &shard{byKey: make(map[Key]*list.Element), lru: list.New()}
 	}
 	reg := cfg.Metrics
 	reg.Help("aligncache_hits_total", "Cache lookups served from a stored score.")
 	reg.Help("aligncache_misses_total", "Cache lookups that found no live entry.")
-	reg.Help("aligncache_coalesced_total", "Lookups that joined an in-flight computation instead of starting one.")
 	reg.Help("aligncache_evictions_total", "Entries evicted, by reason (lru = size bound, ttl = expiry).")
 	reg.Help("aligncache_entries", "Live cached scores.")
 	reg.Help("aligncache_bytes", "Charged bytes of live cached scores.")
-	reg.Help("aligncache_lookup_seconds", "Latency of cache lookups (hit or miss, excluding flight waits).")
+	reg.Help("aligncache_lookup_seconds", "Latency of cache lookups (hit or miss).")
 	c.mHits = reg.Counter("aligncache_hits_total")
 	c.mMisses = reg.Counter("aligncache_misses_total")
-	c.mCoalesced = reg.Counter("aligncache_coalesced_total")
 	c.mEvictLRU = reg.Counter(obs.L("aligncache_evictions_total", "reason", "lru"))
 	c.mEvictTTL = reg.Counter(obs.L("aligncache_evictions_total", "reason", "ttl"))
 	c.gEntries = reg.Gauge("aligncache_entries")
@@ -236,79 +207,11 @@ func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[int(binary.LittleEndian.Uint32(k[:4]))%len(c.shards)]
 }
 
-// Lookup resolves one key atomically into one of three outcomes:
-//
-//   - hit: ok is true and score holds the cached value;
-//   - leader: flight is non-nil and leader is true — the caller MUST compute
-//     the score and publish it with Fulfill (even on failure), or followers
-//     block until their contexts expire;
-//   - follower: flight is non-nil and leader is false — another goroutine is
-//     computing this key; Wait on the flight instead of recomputing.
-//
-// On a nil cache every Lookup returns the fourth, degenerate outcome
-// (ok=false, flight=nil): compute yourself and publish nowhere.
-func (c *Cache) Lookup(k Key) (score int, ok bool, flight *Flight, leader bool) {
-	if c == nil {
-		return 0, false, nil, false
-	}
-	begin := time.Now()
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, live := sh.byKey[k]; live {
-		e := el.Value.(*entry)
-		if e.expires.IsZero() || c.cfg.now().Before(e.expires) {
-			sh.lru.MoveToFront(el)
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			c.mHits.Inc()
-			c.lookupLat.ObserveDuration(time.Since(begin))
-			return e.score, true, nil, false
-		}
-		// Expired on contact: evict and fall through to the miss path.
-		c.removeLocked(sh, el)
-		c.evictTTL.Add(1)
-		c.mEvictTTL.Inc()
-	}
-	if f, inflight := sh.flights[k]; inflight {
-		sh.mu.Unlock()
-		c.coalesced.Add(1)
-		c.mCoalesced.Inc()
-		c.lookupLat.ObserveDuration(time.Since(begin))
-		return 0, false, f, false
-	}
-	f := &Flight{done: make(chan struct{})}
-	sh.flights[k] = f
-	sh.mu.Unlock()
-	c.misses.Add(1)
-	c.mMisses.Inc()
-	c.lookupLat.ObserveDuration(time.Since(begin))
-	return 0, false, f, true
-}
-
-// Fulfill completes a flight the caller leads: the flight is removed from
-// the in-flight table, the score is inserted (on success) with the given
-// MaxBytes charge, and every follower's Wait returns. Safe on a nil cache
-// only if the flight is also nil (the degenerate Lookup outcome).
-func (c *Cache) Fulfill(k Key, f *Flight, score int, cost int64, err error) {
-	if c == nil || f == nil {
-		return
-	}
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if sh.flights[k] == f {
-		delete(sh.flights, k)
-	}
-	if err == nil {
-		c.insertLocked(sh, k, score, cost)
-	}
-	sh.mu.Unlock()
-	f.score, f.err = score, err
-	close(f.done)
-}
-
-// Put inserts a score directly, bypassing the flight machinery — used to
-// warm the cache from already-durable results (job WAL checkpoints) and to
-// publish recomputed scores after a failed flight.
+// Put inserts a score with the given MaxBytes charge, or refreshes the
+// entry's recency, expiry and charge if the key is live. Callers publish
+// every score they computed (two concurrent misses Put the same score
+// twice) and warm the cache from already-durable results (job WAL
+// checkpoints). A failed computation is simply never Put.
 func (c *Cache) Put(k Key, score int, cost int64) {
 	if c == nil {
 		return
@@ -319,8 +222,8 @@ func (c *Cache) Put(k Key, score int, cost int64) {
 	sh.mu.Unlock()
 }
 
-// Get is a plain lookup without singleflight: a hit bumps the entry, a miss
-// is just a miss. Used where the caller cannot (or need not) coalesce.
+// Get looks one key up: a hit bumps the entry to the front of its shard's
+// LRU and returns its score; an absent or expired key is a miss.
 func (c *Cache) Get(k Key) (int, bool) {
 	if c == nil {
 		return 0, false
@@ -333,10 +236,13 @@ func (c *Cache) Get(k Key) (int, bool) {
 		e := el.Value.(*entry)
 		if e.expires.IsZero() || c.cfg.now().Before(e.expires) {
 			sh.lru.MoveToFront(el)
+			// Read the score under the lock: a concurrent Put of the same
+			// key rewrites the entry in place.
+			score := e.score
 			sh.mu.Unlock()
 			c.hits.Add(1)
 			c.mHits.Inc()
-			return e.score, true
+			return score, true
 		}
 		c.removeLocked(sh, el)
 		c.evictTTL.Add(1)
@@ -404,8 +310,10 @@ func (c *Cache) removeLocked(sh *shard, el *list.Element) {
 // Stats is a point-in-time snapshot of the cache counters, rendered into
 // /statsz. Field names are the stable wire format.
 type Stats struct {
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Coalesced is always 0: the cache no longer coalesces concurrent
+	// misses. It stays for callers that read it.
 	Coalesced    int64 `json:"coalesced"`
 	EvictionsLRU int64 `json:"evictions_lru"`
 	EvictionsTTL int64 `json:"evictions_ttl"`
@@ -424,7 +332,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
-		Coalesced:    c.coalesced.Load(),
 		EvictionsLRU: c.evictLRU.Load(),
 		EvictionsTTL: c.evictTTL.Load(),
 		Entries:      c.entries.Load(),

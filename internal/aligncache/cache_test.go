@@ -1,10 +1,7 @@
 package aligncache
 
 import (
-	"context"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,78 +81,12 @@ func TestNilCacheIsInert(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("nil cache hit")
 	}
-	score, ok, f, leader := c.Lookup(k)
-	if ok || f != nil || leader || score != 0 {
-		t.Fatalf("nil Lookup = (%d,%v,%v,%v), want degenerate miss", score, ok, f, leader)
-	}
-	c.Put(k, 1, Cost(x, y))      // must not panic
-	c.Fulfill(k, nil, 1, 0, nil) // must not panic
+	c.Put(k, 1, Cost(x, y)) // must not panic
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil Stats = %+v, want zero", st)
 	}
 	if c.Len() != 0 {
 		t.Fatal("nil Len != 0")
-	}
-}
-
-// TestSingleComputationPerKey hammers a mix of identical and distinct keys
-// from many goroutines and asserts, via a counting computation, that every
-// key is computed exactly once — the singleflight guarantee.
-func TestSingleComputationPerKey(t *testing.T) {
-	c := testCache(t, Config{MaxBytes: 1 << 20, Shards: 4})
-	const (
-		keys       = 8
-		goroutines = 32
-		rounds     = 25
-	)
-	var computes [keys]atomic.Int64
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			for r := 0; r < rounds; r++ {
-				i := (g + r) % keys
-				k, x, y := pairKey(i)
-				want := 1000 + i
-				score, ok, f, leader := c.Lookup(k)
-				switch {
-				case ok:
-				case leader:
-					computes[i].Add(1)
-					score = want
-					c.Fulfill(k, f, score, Cost(x, y), nil)
-				case f != nil:
-					var err error
-					score, err = f.Wait(context.Background())
-					if err != nil {
-						t.Errorf("follower wait: %v", err)
-						return
-					}
-				default:
-					t.Error("live cache returned the degenerate outcome")
-					return
-				}
-				if score != want {
-					t.Errorf("key %d: score %d, want %d", i, score, want)
-					return
-				}
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	for i := range computes {
-		if n := computes[i].Load(); n != 1 {
-			t.Errorf("key %d computed %d times, want exactly 1", i, n)
-		}
-	}
-	st := c.Stats()
-	if st.Coalesced+st.Hits != goroutines*rounds-keys {
-		t.Errorf("hits %d + coalesced %d != %d lookups - %d computes",
-			st.Hits, st.Coalesced, goroutines*rounds, keys)
 	}
 }
 
@@ -205,62 +136,44 @@ func TestTTLExpiry(t *testing.T) {
 	if st := c.Stats(); st.EvictionsTTL != 1 || st.Entries != 0 {
 		t.Fatalf("stats after expiry = %+v, want 1 ttl eviction, 0 entries", st)
 	}
-	// Lookup must also treat it as a miss and elect a leader.
-	c.Put(k, 7, Cost(x, y))
-	now = now.Add(2 * time.Minute)
-	_, ok, f, leader := c.Lookup(k)
-	if ok || !leader {
-		t.Fatalf("Lookup on expired entry: ok=%v leader=%v, want miss+leader", ok, leader)
-	}
-	c.Fulfill(k, f, 7, Cost(x, y), nil)
 }
 
-// TestFlightErrorPropagates checks a failed leader releases followers with
-// the error and does not poison the cache: the next Lookup elects a new
-// leader.
-func TestFlightErrorPropagates(t *testing.T) {
+// TestConcurrentPutRefreshesInPlace Puts one key from several goroutines
+// while others Get it. Put refreshes a live entry in place under the shard
+// lock, so a Get must read the score under that lock too: -race reports a
+// read made after the unlock. The key must stay one entry charged once.
+func TestConcurrentPutRefreshesInPlace(t *testing.T) {
 	c := testCache(t, Config{MaxBytes: 1 << 20})
-	k, x, y := pairKey(3)
-	_, _, f, leader := c.Lookup(k)
-	if !leader {
-		t.Fatal("first Lookup not leader")
-	}
-	_, _, f2, leader2 := c.Lookup(k)
-	if leader2 || f2 != f {
-		t.Fatal("second Lookup did not coalesce onto the first flight")
-	}
-	wantErr := fmt.Errorf("kernel exploded")
-	done := make(chan error, 1)
-	go func() {
-		_, err := f2.Wait(context.Background())
-		done <- err
-	}()
-	c.Fulfill(k, f, 0, Cost(x, y), wantErr)
-	if err := <-done; err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("follower got %v, want %v", err, wantErr)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("failed computation was cached")
-	}
-	_, _, _, leader3 := c.Lookup(k)
-	if !leader3 {
-		t.Fatal("key not retryable after failed flight")
-	}
-}
+	k, x, y := pairKey(9)
+	const score, writers, readers, rounds = 42, 4, 4, 500
+	c.Put(k, score, Cost(x, y))
 
-func TestFlightWaitHonoursContext(t *testing.T) {
-	c := testCache(t, Config{MaxBytes: 1 << 20})
-	k, _, _ := pairKey(5)
-	_, _, f, leader := c.Lookup(k)
-	if !leader {
-		t.Fatal("not leader")
+	var wg sync.WaitGroup
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				c.Put(k, score, Cost(x, y))
+			}
+		}()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f.Wait(ctx); err != context.Canceled {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if got, ok := c.Get(k); !ok || got != score {
+					t.Errorf("Get = (%d, %v), want (%d, true)", got, ok, score)
+					return
+				}
+			}
+		}()
 	}
-	c.Fulfill(k, f, 1, 1, nil) // leader must still fulfill; no goroutine leak
+	wg.Wait()
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != Cost(x, y) {
+		t.Fatalf("stats = %+v, want 1 entry of %d bytes", st, Cost(x, y))
+	}
 }
 
 func TestNewDisabled(t *testing.T) {

@@ -162,11 +162,11 @@ func TestCacheExactUnderFaultInjection(t *testing.T) {
 	t.Logf("cache after chaos: %+v; service: %+v", cst, s.Stats())
 }
 
-// TestCacheLeaderDeadlineNotCached covers alignCached's failed-leader
-// branch: the leader's context expires mid-batch while followers on live
-// contexts wait on its flights. The leader gets its deadline, the failure
-// is never cached, every follower recomputes exact scores itself, and the
-// recomputed scores then serve an identical batch entirely from the cache.
+// TestCacheLeaderDeadlineNotCached covers alignCached's failed dispatch: the
+// leader's context expires mid-batch while followers on live contexts miss
+// the same pairs and score them themselves. The leader gets its deadline,
+// the failure is never cached, every follower gets exact scores, and their
+// scores then serve an identical batch entirely from the cache.
 func TestCacheLeaderDeadlineNotCached(t *testing.T) {
 	// Every backend call holds its engine slot for 150 ms before
 	// scoring, well past the leader's 100 ms deadline.
@@ -183,7 +183,7 @@ func TestCacheLeaderDeadlineNotCached(t *testing.T) {
 		_, err := s.Align(leaderCtx, pairs)
 		leaderErr <- err
 	}()
-	// The leader owns every flight once it has missed every pair.
+	// The leader has missed every pair before the followers start.
 	for s.CacheStats().Misses < int64(len(pairs)) {
 		time.Sleep(time.Millisecond)
 	}
@@ -207,9 +207,6 @@ func TestCacheLeaderDeadlineNotCached(t *testing.T) {
 		t.Fatalf("failed leader left %d cached entries", st.Entries)
 	}
 	wg.Wait()
-	if st := s.CacheStats(); st.Coalesced != followers*int64(len(pairs)) {
-		t.Fatalf("%d follower lookups coalesced onto the leader, want %d", st.Coalesced, followers*len(pairs))
-	}
 	for i := range followers {
 		if errs[i] != nil {
 			t.Fatalf("follower %d: %v", i, errs[i])
@@ -227,6 +224,53 @@ func TestCacheLeaderDeadlineNotCached(t *testing.T) {
 		t.Fatalf("recomputed scores not served from cache: %d hits of %d, %d backend batches",
 			res.Report.CacheHits, len(pairs), st.Batches-batches)
 	}
+}
+
+// TestCachedAlignAllocs gates the cached path's allocations on a striped
+// service: an all-hit batch costs its scores slice and its result, and a
+// batch of unique pairs costs at most 3 allocations per pair (the cache
+// entry and its LRU element among them), so the path may add no per-batch
+// slice on hits and no per-pair bookkeeping on misses.
+func TestCachedAlignAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop items, so KeyOf and the engine allocate")
+	}
+	s := newCachedService(t, Config{Backend: BackendStriped})
+	ctx := context.Background()
+
+	warm := plantedPairs(8, 128, 256, 41)
+	if _, err := s.Align(ctx, warm); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := s.Align(ctx, warm); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("all-hit 8×128×256 batch: %.0f allocations, want at most 2", n)
+	}
+
+	const runs, size = 5, 256
+	batches := make([][]dna.Pair, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range batches {
+		batches[i] = plantedPairs(size, 128, 1024, uint64(100+i))
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		res, err := s.Align(ctx, batches[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.CacheHits != 0 {
+			t.Fatalf("unique batch %d: %d cache hits", next, res.Report.CacheHits)
+		}
+		next++
+	})
+	if n > 3*size {
+		t.Errorf("unique 256×128×1024 batch: %.0f allocations (%.2f per pair), want at most 3 per pair",
+			n, n/size)
+	}
+	t.Logf("unique 256×128×1024 batch: %.0f allocations (%.2f per pair)", n, n/size)
 }
 
 // TestWarmCache seeds the cache with precomputed scores (the jobs recovery
@@ -314,7 +358,7 @@ func TestCacheDisabledIsUncachedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertScores(t, res.Scores, refScores(pairs))
-	if res.Report.CacheHits != 0 || res.Report.CacheCoalesced != 0 {
+	if res.Report.CacheHits != 0 {
 		t.Fatalf("disabled cache produced cache report fields: %+v", res.Report)
 	}
 }

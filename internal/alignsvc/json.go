@@ -31,21 +31,19 @@ func (t *Tier) UnmarshalJSON(b []byte) error {
 }
 
 type reportJSON struct {
-	Tier           Tier    `json:"tier"`
-	Fallbacks      int     `json:"fallbacks"`
-	ElapsedMS      float64 `json:"elapsed_ms"`
-	CacheHits      int     `json:"cache_hits,omitempty"`
-	CacheCoalesced int     `json:"cache_coalesced,omitempty"`
+	Tier      Tier    `json:"tier"`
+	Fallbacks int     `json:"fallbacks"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+	CacheHits int     `json:"cache_hits,omitempty"`
 }
 
 // MarshalJSON implements the stable wire format described above.
 func (r Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(reportJSON{
-		Tier:           r.Tier,
-		Fallbacks:      r.Fallbacks,
-		ElapsedMS:      float64(r.Elapsed) / float64(time.Millisecond),
-		CacheHits:      r.CacheHits,
-		CacheCoalesced: r.CacheCoalesced,
+		Tier:      r.Tier,
+		Fallbacks: r.Fallbacks,
+		ElapsedMS: float64(r.Elapsed) / float64(time.Millisecond),
+		CacheHits: r.CacheHits,
 	})
 }
 
@@ -56,11 +54,10 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*r = Report{
-		Tier:           in.Tier,
-		Fallbacks:      in.Fallbacks,
-		Elapsed:        time.Duration(in.ElapsedMS * float64(time.Millisecond)),
-		CacheHits:      in.CacheHits,
-		CacheCoalesced: in.CacheCoalesced,
+		Tier:      in.Tier,
+		Fallbacks: in.Fallbacks,
+		Elapsed:   time.Duration(in.ElapsedMS * float64(time.Millisecond)),
+		CacheHits: in.CacheHits,
 	}
 	return nil
 }

@@ -11,17 +11,16 @@ import (
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	in := Report{
-		Tier:           TierCPU,
-		Fallbacks:      1,
-		Elapsed:        1500 * time.Microsecond,
-		CacheHits:      9,
-		CacheCoalesced: 3,
+		Tier:      TierCPU,
+		Fallbacks: 1,
+		Elapsed:   1500 * time.Microsecond,
+		CacheHits: 9,
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"tier":"cpu","fallbacks":1,"elapsed_ms":1.5,"cache_hits":9,"cache_coalesced":3}`
+	want := `{"tier":"cpu","fallbacks":1,"elapsed_ms":1.5,"cache_hits":9}`
 	if string(b) != want {
 		t.Fatalf("marshalled report:\n got %s\nwant %s", b, want)
 	}

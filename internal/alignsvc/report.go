@@ -59,23 +59,18 @@ func ParseTier(s string) (Tier, error) {
 // produced the scores and whether it had to fall back to the reference.
 //
 // With the score cache enabled, CacheHits pairs were served from stored
-// scores and CacheCoalesced pairs piggybacked on another batch's in-flight
-// computation; neither group reached a backend. When no pair reached a
-// backend, Tier names the serving backend's tier.
+// scores and never reached a backend. When no pair reached a backend, Tier
+// names the serving backend's tier.
 type Report struct {
 	Tier      Tier          // tier whose scores were returned
 	Fallbacks int           // 1 when the backend failed and the CPU reference served, else 0
 	Elapsed   time.Duration // wall time from taking an engine slot (with a cache: from Align) to scores
-
-	CacheHits      int // pairs served from the score cache
-	CacheCoalesced int // pairs that waited on another batch's computation
+	CacheHits int           // pairs served from the score cache
 }
 
-// String renders a one-line summary, e.g.
-// "cpu (1 fallbacks, 3 cache hits, 0 coalesced)".
+// String renders a one-line summary, e.g. "cpu (1 fallbacks, 3 cache hits)".
 func (r Report) String() string {
-	return fmt.Sprintf("%s (%d fallbacks, %d cache hits, %d coalesced)",
-		r.Tier, r.Fallbacks, r.CacheHits, r.CacheCoalesced)
+	return fmt.Sprintf("%s (%d fallbacks, %d cache hits)", r.Tier, r.Fallbacks, r.CacheHits)
 }
 
 // BatchResult is what Align returns: exact scores plus the report.

@@ -62,10 +62,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Cache, when non-nil, memoizes per-pair scores by content hash
 	// (pattern bytes, text bytes, scoring, lane width). Cache hits take no
-	// engine slot; a partially cached batch dispatches only its uncached
-	// remainder, and concurrent identical pairs coalesce onto one
-	// computation. nil (the default) keeps the service byte-identical to
-	// the uncached behaviour.
+	// engine slot; a partially cached batch dispatches only its distinct
+	// uncached pairs. Concurrent batches that miss the same pair each
+	// score it. nil (the default) keeps the service byte-identical to the
+	// uncached behaviour.
 	Cache *aligncache.Cache
 	// Wrap, when set, wraps the serving backend. It is the seam tests use
 	// to inject failures or hold an engine slot; nil in production. The

@@ -424,7 +424,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 func TestReportString(t *testing.T) {
 	r := Report{Tier: TierCPU, Fallbacks: 1, CacheHits: 3}
 	got := r.String()
-	want := "cpu (1 fallbacks, 3 cache hits, 0 coalesced)"
+	want := "cpu (1 fallbacks, 3 cache hits)"
 	if got != want {
 		t.Fatalf("Report.String() = %q, want %q", got, want)
 	}

@@ -456,7 +456,6 @@ func mergeReport(dst *alignsvc.Report, src alignsvc.Report) {
 	}
 	dst.Elapsed = max(dst.Elapsed, src.Elapsed)
 	dst.CacheHits += src.CacheHits
-	dst.CacheCoalesced += src.CacheCoalesced
 }
 
 // alignVia forwards one owner group to its peer and scores the group
