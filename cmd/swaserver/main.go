@@ -120,8 +120,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
 
 	dataDir := flag.String("data-dir", "", "WAL directory for durable async jobs (empty = /jobs API disabled)")
-	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always, interval or never")
-	walSyncEvery := flag.Duration("wal-sync-every", 100*time.Millisecond, "fsync period for -wal-sync interval")
+	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always (fsync every append before acknowledging it) or never")
 	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
 	chunkSize := flag.Int("chunk-size", 64, "pairs per job chunk (the checkpoint granularity)")
 	jobConcurrency := flag.Int("job-concurrency", 2, "jobs executing concurrently")
@@ -215,7 +214,6 @@ func main() {
 			Dir:          *dataDir,
 			SegmentBytes: *walSegBytes,
 			Sync:         policy,
-			SyncEvery:    *walSyncEvery,
 		})
 		cli.Check(err)
 		log.Printf("swaserver: job store %s: %d segment(s), %d record(s), %d live job(s)",

@@ -84,7 +84,6 @@ func TestSIGKILLSearchRecovery(t *testing.T) {
 		Query:       q.String(),
 		TopK:        10,
 		MinKmerHits: -1, // scan everything: 40 predictable chunks
-		MaxEdits:    -1,
 	}
 	body, _ := json.Marshal(req)
 	hr, err := http.NewRequest(http.MethodPost, base+"/jobs", bytes.NewReader(body))

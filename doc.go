@@ -31,7 +31,7 @@
 //     internal/jobs — the serving layer: a batch service whose failed
 //     batches fall back once to the scalar reference, a content-addressed
 //     score cache, the HTTP front end, and durable WAL-backed async
-//     alignment and search jobs whose recovery warms the cache.
+//     alignment and search jobs that resume from their checkpoints.
 //   - internal/bench, internal/tables, internal/stats — measurement:
 //     machine-readable benchmark documents and the paper's tables/figures.
 //

@@ -3,9 +3,9 @@
 // score — the pattern bytes, the text bytes, the scoring scheme and the lane
 // width — so a hit is byte-identical to a recompute by construction (see
 // DESIGN.md §11 for the correctness argument). Real alignment traffic is
-// highly redundant (database screening re-runs the same pattern panels;
-// job replay re-submits the same chunks), and a hit costs one hash and one
-// map lookup instead of the full bit-parallel dynamic program.
+// highly redundant (database screening re-runs the same pattern panels),
+// and a hit costs one hash and one map lookup instead of the full
+// bit-parallel dynamic program.
 //
 // Two mechanisms bound the cache:
 //
@@ -210,8 +210,8 @@ func (c *Cache) shardFor(k Key) *shard {
 // Put inserts a score with the given MaxBytes charge, or refreshes the
 // entry's recency, expiry and charge if the key is live. Callers publish
 // every score they computed (two concurrent misses Put the same score
-// twice) and warm the cache from already-durable results (job WAL
-// checkpoints). A failed computation is simply never Put.
+// twice); scoring is the cache's only filler. A failed computation is
+// simply never Put.
 func (c *Cache) Put(k Key, score int, cost int64) {
 	if c == nil {
 		return

@@ -1,10 +1,10 @@
 package alignsvc
 
-// This file is the cache face of the service: Align's cached fast path,
-// recovery-time cache warming, and the Stats surface. The cache itself
-// (sharding, LRU, TTL) lives in internal/aligncache; this layer decides how
-// a batch splits into cached and uncached halves; the uncached remainder
-// takes an engine slot through dispatch like any batch.
+// This file is the cache face of the service: Align's cached fast path and
+// the Stats surface. The cache itself (sharding, LRU, TTL) lives in
+// internal/aligncache; this layer decides how a batch splits into cached and
+// uncached halves; the uncached remainder takes an engine slot through
+// dispatch like any batch. Scoring is the cache's only filler.
 
 import (
 	"context"
@@ -83,25 +83,6 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair) (*BatchResu
 	rep.Elapsed = time.Since(start)
 	return &BatchResult{Scores: scores, Report: rep}, nil
 }
-
-// WarmCache inserts precomputed (pair, score) results into the cache —
-// recovery paths use it to republish scores that are already durable (job
-// WAL checkpoints), so replayed and re-submitted work hits even across
-// process restarts. It returns how many entries were inserted; without a
-// cache it is a cheap no-op.
-func (s *Service) WarmCache(pairs []dna.Pair, scores []int) int {
-	if !s.cfg.Cache.Enabled() || len(pairs) != len(scores) {
-		return 0
-	}
-	sc := s.Scoring()
-	for i, p := range pairs {
-		s.cfg.Cache.Put(aligncache.KeyOf(p.X, p.Y, sc, s.cfg.Lanes), scores[i], aligncache.Cost(p.X, p.Y))
-	}
-	return len(pairs)
-}
-
-// CacheEnabled reports whether the service has a live score cache.
-func (s *Service) CacheEnabled() bool { return s.cfg.Cache.Enabled() }
 
 // CacheStats snapshots the cache counters, or nil when no cache is
 // configured. The server renders it as the /statsz "cache" section.

@@ -273,33 +273,6 @@ func TestCachedAlignAllocs(t *testing.T) {
 	t.Logf("unique 256×128×1024 batch: %.0f allocations (%.2f per pair)", n, n/size)
 }
 
-// TestWarmCache seeds the cache with precomputed scores (the jobs recovery
-// path) and checks a subsequent batch is served without any dispatch.
-func TestWarmCache(t *testing.T) {
-	s := newCachedService(t, Config{})
-	pairs := plantedPairs(48, 16, 32, 55)
-	scores := refScores(pairs)
-
-	if n := s.WarmCache(pairs, scores); n != len(pairs) {
-		t.Fatalf("WarmCache inserted %d, want %d", n, len(pairs))
-	}
-	if n := s.WarmCache(pairs, scores[:1]); n != 0 {
-		t.Fatalf("mismatched lengths warmed %d entries, want 0", n)
-	}
-
-	res, err := s.Align(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScores(t, res.Scores, scores)
-	if res.Report.CacheHits != len(pairs) {
-		t.Fatalf("warmed batch: %d hits, want %d", res.Report.CacheHits, len(pairs))
-	}
-	if st := s.Stats(); st.Batches != 0 {
-		t.Fatalf("warmed batch still dispatched: %+v", st)
-	}
-}
-
 // benchmarkDuplicateWorkload drives the issue's benchmark scenario: batches
 // where 90% of pairs repeat a small panel of distinct pairs — the shape of
 // database-screening traffic. Run with -bench to compare cache on vs off.
@@ -340,15 +313,12 @@ func BenchmarkAlignDuplicate90CacheOff(b *testing.B) { benchmarkDuplicateWorkloa
 func BenchmarkAlignDuplicate90CacheOn(b *testing.B)  { benchmarkDuplicateWorkload(b, true) }
 
 // TestCacheDisabledIsUncachedPath pins the -cache-bytes=0 contract: a zero
-// budget yields a nil cache, CacheEnabled is false, and Align takes the
-// original dispatch path with no cache fields in the report.
+// budget yields a nil cache, and Align takes the original dispatch path
+// with no cache fields in the report.
 func TestCacheDisabledIsUncachedPath(t *testing.T) {
 	s := New(Config{Cache: aligncache.New(aligncache.Config{MaxBytes: 0}),
 		Metrics: obs.NewRegistry()})
 	defer s.Close()
-	if s.CacheEnabled() {
-		t.Fatal("zero-budget cache reported enabled")
-	}
 	if s.CacheStats() != nil {
 		t.Fatal("disabled cache returned stats")
 	}

@@ -189,7 +189,6 @@ func fingerprint(names []string, seqs []dna.Seq) string {
 // and the manifest identity, all memory-resident. Read-only and safe
 // for concurrent use.
 type Corpus struct {
-	dir        string
 	k          int
 	names      []string
 	seqs       []dna.Seq
@@ -198,9 +197,6 @@ type Corpus struct {
 	maxLen     int
 	print      string
 }
-
-// Dir returns the index directory the corpus was opened from.
-func (c *Corpus) Dir() string { return c.dir }
 
 // K returns the index's k-mer length.
 func (c *Corpus) K() int { return c.k }
@@ -330,7 +326,6 @@ func (b *Builder) Commit() (*Corpus, error) {
 		return nil, err
 	}
 	return &Corpus{
-		dir:        b.dir,
 		k:          b.opts.K,
 		names:      b.names,
 		seqs:       b.seqs,
@@ -490,7 +485,6 @@ func Open(dir string) (*Corpus, error) {
 	}
 
 	c := &Corpus{
-		dir:   dir,
 		k:     man.K,
 		names: make([]string, man.Seqs),
 		seqs:  make([]dna.Seq, man.Seqs),

@@ -222,9 +222,6 @@ func NewSearcher(c *Corpus, be alignsvc.Backend, reg *obs.Registry) *Searcher {
 	return &Searcher{c: c, be: be, reg: reg}
 }
 
-// Corpus returns the searcher's corpus.
-func (s *Searcher) Corpus() *Corpus { return s.c }
-
 // Backend returns the scoring engine's name.
 func (s *Searcher) Backend() string { return s.be.Name() }
 

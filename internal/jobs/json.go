@@ -81,7 +81,6 @@ type Stats struct {
 	ChunksExecuted     int64 `json:"chunks_executed"`     // chunks actually computed
 	ChunksCheckpointed int64 `json:"chunks_checkpointed"` // chunk records appended to the WAL
 	ChunksSkipped      int64 `json:"chunks_skipped"`      // checkpointed chunks skipped on resume
-	CacheWarmed        int64 `json:"cache_warmed"`        // checkpointed pair scores republished into the score cache at startup
 
 	GCDropped int64 `json:"gc_dropped"` // terminal jobs dropped by TTL GC
 

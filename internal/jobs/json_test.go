@@ -73,7 +73,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		Submitted: 10, DedupHits: 2, Completed: 6, Failed: 1, Cancelled: 1,
 		Recovered: 3, RecoveredChunks: 12, Requeued: 2,
 		ChunksExecuted: 40, ChunksCheckpointed: 40, ChunksSkipped: 12,
-		CacheWarmed: 5, GCDropped: 4, Queued: 1, Running: 1, JobsHeld: 8, MaxQueued: 64,
+		GCDropped: 4, Queued: 1, Running: 1, JobsHeld: 8, MaxQueued: 64,
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		`"submitted":10`, `"dedup_hits":2`, `"completed":6`, `"failed":1`,
 		`"cancelled":1`, `"recovered":3`, `"recovered_chunks":12`,
 		`"requeued":2`, `"chunks_executed":40`, `"chunks_checkpointed":40`,
-		`"chunks_skipped":12`, `"cache_warmed":5`, `"gc_dropped":4`, `"queued":1`, `"running":1`,
+		`"chunks_skipped":12`, `"gc_dropped":4`, `"queued":1`, `"running":1`,
 		`"jobs_held":8`, `"max_queued":64`,
 	} {
 		if !strings.Contains(string(b), want) {

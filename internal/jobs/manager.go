@@ -206,7 +206,6 @@ type Manager struct {
 	recovered, requeued                           atomic.Int64
 	chunksExecuted, chunksCheckpointed            atomic.Int64
 	chunksSkipped, gcDropped, recoveredChunksDone atomic.Int64
-	cacheWarmed                                   atomic.Int64
 
 	obs *obs.Registry
 }
@@ -241,7 +240,6 @@ func New(cfg Config) (*Manager, error) {
 	m.obs.Help("jobs_recovered_total", "Incomplete jobs requeued by startup recovery.")
 	m.obs.Help("jobs_requeued_total", "Running jobs checkpointed and requeued by drain.")
 	m.obs.Help("jobs_chunk_seconds", "Wall time per executed chunk.")
-	m.obs.Help("jobs_cache_warmed_total", "Pair scores republished from WAL checkpoints into the score cache at startup.")
 
 	// Recovery: every incomplete job in the replayed store goes back on the
 	// FIFO in submission order. Jobs the crash left "running" are returned
@@ -261,32 +259,6 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	m.refreshStateGauges()
-
-	// Checkpointed chunk scores are durable and exact, so republish them
-	// into the service's score cache: replayed chunks and re-submitted
-	// identical pairs then hit instead of recomputing, even across process
-	// restarts. Warming walks every job — terminal ones included, since
-	// their scores are just as valid for future submissions.
-	if cfg.Service.CacheEnabled() {
-		warmed := 0
-		for _, j := range m.store.List() {
-			if j.Kind != "" {
-				continue // search checkpoints hold hits, not pair scores
-			}
-			for c, ck := range j.Chunks {
-				lo, hi := j.ChunkBounds(c)
-				pairs, err := parsePairs(j.Pairs[lo:hi])
-				if err != nil {
-					continue // corrupt pairs fail the job at execution time, not here
-				}
-				warmed += cfg.Service.WarmCache(pairs, ck.Scores)
-			}
-		}
-		if warmed > 0 {
-			m.cacheWarmed.Add(int64(warmed))
-			m.obs.Counter("jobs_cache_warmed_total").Add(int64(warmed))
-		}
-	}
 
 	m.wg.Add(cfg.MaxConcurrent)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
@@ -739,7 +711,6 @@ func (m *Manager) Stats() Stats {
 		ChunksExecuted:     m.chunksExecuted.Load(),
 		ChunksCheckpointed: m.chunksCheckpointed.Load(),
 		ChunksSkipped:      m.chunksSkipped.Load(),
-		CacheWarmed:        m.cacheWarmed.Load(),
 		GCDropped:          m.gcDropped.Load(),
 		Queued:             int64(counts[jobstore.StateQueued]),
 		Running:            int64(counts[jobstore.StateRunning]),

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testPairs(n int) []PairData {
@@ -328,19 +327,13 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, pol := range []SyncPolicy{SyncAlways, SyncNever} {
 		t.Run(pol.String(), func(t *testing.T) {
-			s, _, err := Open(Options{Dir: t.TempDir(), Sync: pol, SyncEvery: time.Millisecond})
+			s, _, err := Open(Options{Dir: t.TempDir(), Sync: pol})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := submit(s, "j", "", 1, testPairs(1)); err != nil {
-				t.Fatal(err)
-			}
-			if pol == SyncInterval {
-				time.Sleep(5 * time.Millisecond) // let the ticker fire once
-			}
-			if err := s.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {
@@ -348,11 +341,10 @@ func TestSyncPolicies(t *testing.T) {
 			}
 		})
 	}
-	if _, err := ParseSyncPolicy("interval"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSyncPolicy("nope"); err == nil {
-		t.Fatal("bad sync policy accepted")
+	for _, bad := range []string{"interval", "nope"} {
+		if _, err := ParseSyncPolicy(bad); err == nil {
+			t.Fatalf("sync policy %q accepted", bad)
+		}
 	}
 }
 
@@ -457,6 +449,98 @@ func TestDirSyncedOnSegmentLifecycle(t *testing.T) {
 	}
 	if rotateErr == nil || !strings.Contains(rotateErr.Error(), "fsync dir") {
 		t.Fatalf("rotate with failing dir sync: err = %v, want fsync dir error", rotateErr)
+	}
+}
+
+// TestFailedAppendLeavesNoRecord fails one fsync inside an append: the
+// directory fsync after a rotation creates the next segment, and the fsync
+// of the record itself. The failed submit must not come back on reopen,
+// every submit acknowledged before or after it must, and replay must find
+// nothing to cut. A failed record fsync is cut back and later appends go
+// on; a failed rotation refuses every later append.
+func TestFailedAppendLeavesNoRecord(t *testing.T) {
+	boom := errors.New("injected fsync failure")
+	cases := []struct {
+		name      string
+		segBytes  int64
+		inject    func(w *wal)
+		wantAfter int // submits acknowledged after the failed one, of 10
+	}{
+		{"rotation", 256, func(w *wal) {
+			calls := 0
+			w.syncDir = func(string) error {
+				if calls++; calls == 2 { // after the seal, then after the create
+					return boom
+				}
+				return nil
+			}
+		}, 0},
+		{"fsync", 0, func(w *wal) {
+			failed := false
+			w.syncFile = func(f *os.File) error {
+				if !failed {
+					failed = true
+					return boom
+				}
+				return f.Sync()
+			}
+		}, 10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := Open(Options{Dir: dir, SegmentBytes: tc.segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := []string{"before"}
+			if _, err := submit(s, "before", "", 4, testPairs(4)); err != nil {
+				t.Fatal(err)
+			}
+			tc.inject(s.w)
+			failed := ""
+			for i := 0; failed == "" && i < 64; i++ {
+				id := fmt.Sprintf("j%d", i)
+				if _, err := submit(s, id, "", 4, testPairs(4)); err == nil {
+					acked = append(acked, id)
+				} else if !errors.Is(err, boom) {
+					t.Fatalf("submit %s: %v, want the injected failure", id, err)
+				} else {
+					failed = id
+				}
+			}
+			if failed == "" {
+				t.Fatal("no append failed")
+			}
+			after := 0
+			for i := 0; i < 10; i++ {
+				id := fmt.Sprintf("after%d", i)
+				if _, err := submit(s, id, "", 4, testPairs(4)); err == nil {
+					acked = append(acked, id)
+					after++
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, rep := mustOpen(t, dir)
+			defer s2.Close()
+			if rep.Truncated {
+				t.Fatalf("replay cut the log: %+v", rep)
+			}
+			if _, ok := s2.Get(failed); ok {
+				t.Fatalf("failed submit %s came back", failed)
+			}
+			for _, id := range acked {
+				if _, ok := s2.Get(id); !ok {
+					t.Fatalf("acknowledged submit %s lost (%d acknowledged)", id, len(acked))
+				}
+			}
+			if after != tc.wantAfter {
+				t.Fatalf("%d of 10 submits after the failure acknowledged, want %d", after, tc.wantAfter)
+			}
+		})
 	}
 }
 

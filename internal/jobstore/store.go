@@ -198,10 +198,8 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// reaches this size (default 4 MiB).
 	SegmentBytes int64
-	// Sync is the fsync policy (default SyncAlways). SyncEvery is the
-	// SyncInterval period (default 100ms).
-	Sync      SyncPolicy
-	SyncEvery time.Duration
+	// Sync is the fsync policy (default SyncAlways).
+	Sync SyncPolicy
 
 	// now replaces the record-timestamp clock in tests.
 	now func() time.Time
@@ -210,9 +208,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -233,9 +228,6 @@ type Store struct {
 	byKey map[string]string // idempotency key → job ID
 	seq   uint64
 	open  bool
-
-	syncQuit chan struct{}
-	syncDone chan struct{}
 }
 
 // Open replays the WAL in dir (creating it if missing), truncates any torn
@@ -273,57 +265,18 @@ func Open(opts Options) (*Store, ReplayReport, error) {
 		return nil, rep, err
 	}
 	s.w = w
-	if opts.Sync == SyncInterval {
-		s.syncQuit = make(chan struct{})
-		s.syncDone = make(chan struct{})
-		go s.syncLoop()
-	}
 	return s, rep, nil
-}
-
-func (s *Store) syncLoop() {
-	defer close(s.syncDone)
-	t := time.NewTicker(s.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.syncQuit:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if s.open {
-				_ = s.w.sync()
-			}
-			s.mu.Unlock()
-		}
-	}
 }
 
 // Close fsyncs and closes the WAL. Further mutations fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.open {
-		s.mu.Unlock()
 		return nil
 	}
 	s.open = false
-	err := s.w.close()
-	s.mu.Unlock()
-	if s.syncQuit != nil {
-		close(s.syncQuit)
-		<-s.syncDone
-	}
-	return err
-}
-
-// Sync forces an fsync of the current segment.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.open {
-		return errors.New("jobstore: store closed")
-	}
-	return s.w.sync()
+	return s.w.close()
 }
 
 // apply folds one (already validated) record into the in-memory state.
@@ -387,7 +340,7 @@ func (s *Store) appendLocked(rec Record) error {
 	rec.Seq = s.seq
 	rec.TimeMS = nowMS(s.opts.now())
 	if err := s.w.append(rec); err != nil {
-		s.seq-- // the record never hit the log; keep seq in lockstep
+		s.seq-- // a failed append leaves no record in the log (wal.append)
 		return err
 	}
 	s.apply(rec)

@@ -19,8 +19,9 @@
 // Replay tolerates crashes at any byte: a torn or corrupt tail is truncated
 // back to the last whole record (never a panic, always a typed
 // *CorruptError in the report), and everything before the corruption point
-// is recovered. Durability is tunable via SyncPolicy: fsync every append,
-// on a background interval, or never (the OS decides).
+// is recovered. Durability is one inline rule, SyncPolicy: fsync every
+// append before it returns, or never (the OS decides). An append that fails
+// leaves no record behind.
 package jobstore
 
 import (
@@ -431,10 +432,9 @@ func ScanDir(dir string) ([]Record, ReplayReport, error) {
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append — the crash-safe default.
+	// SyncAlways fsyncs every append before it returns — the crash-safe
+	// default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Options.SyncEvery).
-	SyncInterval
 	// SyncNever leaves flushing to the OS page cache.
 	SyncNever
 )
@@ -443,8 +443,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	}
@@ -456,12 +454,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("jobstore: unknown sync policy %q (want always, interval or never)", s)
+	return 0, fmt.Errorf("jobstore: unknown sync policy %q (want always or never)", s)
 }
 
 // wal is the append side of the log: the current segment file plus the
@@ -473,14 +469,21 @@ type wal struct {
 
 	f      *os.File
 	segNum int
-	size   int64
+	size   int64  // bytes of whole records in f
 	seq    uint64 // last sequence number written or replayed
+	// broken is set when a failed append could not be undone: every later
+	// append fails with it until the store is reopened and replay repairs
+	// the log.
+	broken error
 
 	// syncDir fsyncs the WAL directory; a test seam (defaults to
 	// fsyncDir). File fsync alone does not persist the *directory entry*
 	// of a freshly created segment: a crash right after rotation could
 	// lose the new segment's name even though its bytes were synced.
 	syncDir func(string) error
+	// syncFile fsyncs a segment file; a test seam (defaults to
+	// (*os.File).Sync).
+	syncFile func(*os.File) error
 }
 
 // fsyncDir opens a directory and fsyncs it, making recent entry
@@ -501,7 +504,8 @@ func fsyncDir(dir string) error {
 // surviving segment (already truncated past any corruption), or a fresh
 // first segment for an empty directory.
 func openWAL(dir string, segBytes int64, policy SyncPolicy, lastSeq uint64) (*wal, error) {
-	w := &wal{dir: dir, segBytes: segBytes, policy: policy, seq: lastSeq, segNum: 1, syncDir: fsyncDir}
+	w := &wal{dir: dir, segBytes: segBytes, policy: policy, seq: lastSeq, segNum: 1,
+		syncDir: fsyncDir, syncFile: (*os.File).Sync}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -534,26 +538,39 @@ func (w *wal) openSegment(n int, size int64) error {
 	return nil
 }
 
-// append encodes, writes and (per policy) fsyncs one record, rotating the
-// segment afterwards when it crossed the size threshold.
+// append writes one record and, under SyncAlways, fsyncs it before
+// returning. A full segment is sealed and the next one started before the
+// record is written, never after, so no error can follow a written record.
+// A failed write or fsync cuts the segment back to its last whole record:
+// the failed record leaves nothing behind, and its sequence number is
+// reused. A log that cannot be put back (a failed rotation or cut) refuses
+// every later append.
 func (w *wal) append(rec Record) error {
+	if w.broken != nil {
+		return w.broken
+	}
 	line, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := w.f.Write(line); err != nil {
+	if w.size >= w.segBytes {
+		if err := w.rotate(); err != nil {
+			w.broken = err
+			return err
+		}
+	}
+	_, err = w.f.Write(line)
+	if err == nil && w.policy == SyncAlways {
+		err = w.syncFile(w.f)
+	}
+	if err != nil {
+		if terr := w.f.Truncate(w.size); terr != nil {
+			w.broken = fmt.Errorf("jobstore: cut back failed append: %w", terr)
+		}
 		return fmt.Errorf("jobstore: append: %w", err)
 	}
 	w.size += int64(len(line))
 	w.seq = rec.Seq
-	if w.policy == SyncAlways {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("jobstore: fsync: %w", err)
-		}
-	}
-	if w.size >= w.segBytes {
-		return w.rotate()
-	}
 	return nil
 }
 
@@ -563,10 +580,12 @@ func (w *wal) append(rec Record) error {
 // (inside openSegment), so neither the sealed segment nor its successor can
 // vanish from the directory on a crash.
 func (w *wal) rotate() error {
-	if err := w.f.Sync(); err != nil {
+	if err := w.syncFile(w.f); err != nil {
 		return fmt.Errorf("jobstore: fsync on rotate: %w", err)
 	}
-	if err := w.f.Close(); err != nil {
+	err := w.f.Close()
+	w.f = nil
+	if err != nil {
 		return fmt.Errorf("jobstore: close on rotate: %w", err)
 	}
 	if err := w.syncDir(w.dir); err != nil {
@@ -575,18 +594,11 @@ func (w *wal) rotate() error {
 	return w.openSegment(w.segNum+1, 0)
 }
 
-func (w *wal) sync() error {
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
-}
-
 func (w *wal) close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
+	err := w.syncFile(w.f)
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

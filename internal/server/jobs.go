@@ -36,10 +36,10 @@ const (
 // JobSubmitRequest is the POST /jobs body. With Kind empty (alignment)
 // either Pairs or Preset must be set (same shapes and caps as /align).
 // With Kind "search" the Corpus/Query/TopK/MinKmerHits fields describe a
-// corpus search (same semantics as POST /search, MaxEdits ignored alike)
-// and Pairs/Preset must be absent. IdempotencyKey deduplicates re-sent
-// submissions per tenant; the Idempotency-Key header takes precedence
-// when both are present.
+// corpus search (same semantics as POST /search; a max_edits key is
+// ignored like any unknown key) and Pairs/Preset must be absent.
+// IdempotencyKey deduplicates re-sent submissions per tenant; the
+// Idempotency-Key header takes precedence when both are present.
 type JobSubmitRequest struct {
 	Pairs          []PairJSON `json:"pairs,omitempty"`
 	Preset         string     `json:"preset,omitempty"`
@@ -52,7 +52,6 @@ type JobSubmitRequest struct {
 	Query       string `json:"query,omitempty"`
 	TopK        int    `json:"top_k,omitempty"`
 	MinKmerHits int    `json:"min_kmer_hits,omitempty"`
-	MaxEdits    int    `json:"max_edits,omitempty"`
 }
 
 // JobResultResponse is the GET /jobs/{id}/result success body.

@@ -294,8 +294,8 @@ func TestSearchMaxEditsIgnored(t *testing.T) {
 					len(query), maxEdits, resp.StatusCode, len(sync.Hits))
 			}
 			var snap jobs.Snapshot
-			resp = doJSON(t, http.MethodPost, ts.URL+"/jobs", JobSubmitRequest{Kind: jobstore.KindSearch,
-				Corpus: "ref", Query: query, TopK: 50, MaxEdits: maxEdits}, &snap)
+			resp = doJSON(t, http.MethodPost, ts.URL+"/jobs", fmt.Sprintf(
+				`{"kind":"search","corpus":"ref","query":%q,"top_k":50,"max_edits":%d}`, query, maxEdits), &snap)
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("max_edits %d: submit status %d", maxEdits, resp.StatusCode)
 			}

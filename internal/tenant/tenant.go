@@ -308,9 +308,6 @@ func (r *Registry) Get(id string) *Tenant {
 	return r.byID[id]
 }
 
-// Anonymous returns the built-in default tenant.
-func (r *Registry) Anonymous() *Tenant { return r.anon }
-
 // Len counts the configured tenants, the anonymous one included.
 func (r *Registry) Len() int { return len(r.byID) }
 
