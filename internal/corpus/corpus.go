@@ -3,8 +3,6 @@ package corpus
 import (
 	"bufio"
 	"bytes"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,25 +36,16 @@ var ErrCorrupt = errors.New("corpus: corrupt index")
 // IndexOptions.K is zero.
 const DefaultK = 6
 
+// maxSeqLen is the longest reference sequence Add accepts, in bases.
+// Commit records it in the manifest's max_seq_len.
+const maxSeqLen = 1 << 20
+
 // IndexOptions tunes Build.
 type IndexOptions struct {
 	// K is the k-mer length of the posting lists (default DefaultK,
 	// range 2-10). Smaller k admits more candidates; the selectivity
 	// math is laid out in DESIGN.md §16.
 	K int
-	// MaxSeqLen rejects longer reference sequences at ingest
-	// (default 1 MiB of bases).
-	MaxSeqLen int
-}
-
-func (o IndexOptions) withDefaults() IndexOptions {
-	if o.K == 0 {
-		o.K = DefaultK
-	}
-	if o.MaxSeqLen <= 0 {
-		o.MaxSeqLen = 1 << 20
-	}
-	return o
 }
 
 // manifest is the commit point of an index directory.
@@ -75,13 +64,6 @@ type seqRecord struct {
 	ID   int    `json:"id"`
 	Name string `json:"name"`
 	Seq  string `json:"seq"`
-}
-
-// postingRecord is one k-mer line in postings.log. IDs holds the
-// ascending sequence IDs as base64-wrapped varint deltas.
-type postingRecord struct {
-	Kmer int    `json:"kmer"`
-	IDs  string `json:"ids"`
 }
 
 // bucketFor returns the length bucket (smallest power of two ≥ n,
@@ -123,54 +105,6 @@ func decodeLine(line []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeIDs delta-varint-encodes an ascending ID list and base64-wraps it.
-func encodeIDs(ids []int32) string {
-	buf := make([]byte, 0, len(ids)+8)
-	var tmp [binary.MaxVarintLen64]byte
-	prev := int32(0)
-	for _, id := range ids {
-		n := binary.PutUvarint(tmp[:], uint64(id-prev))
-		buf = append(buf, tmp[:n]...)
-		prev = id
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-// decodeIDs inverts encodeIDs, validating ascending order and the ID range.
-func decodeIDs(s string, seqs int) ([]int32, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad posting base64: %v", ErrCorrupt, err)
-	}
-	var ids []int32
-	prev := int64(-1)
-	for len(raw) > 0 {
-		d, n := binary.Uvarint(raw)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad posting varint", ErrCorrupt)
-		}
-		raw = raw[n:]
-		// Range-check the delta before adding it, in int64, so no
-		// corrupt delta can wrap back into range.
-		if d >= uint64(seqs) {
-			return nil, fmt.Errorf("%w: posting delta %d out of range [0,%d)", ErrCorrupt, d, seqs)
-		}
-		id := int64(d)
-		if prev >= 0 {
-			if d == 0 {
-				return nil, fmt.Errorf("%w: posting IDs not strictly ascending", ErrCorrupt)
-			}
-			id += prev
-		}
-		if id >= int64(seqs) {
-			return nil, fmt.Errorf("%w: posting ID %d out of range [0,%d)", ErrCorrupt, id, seqs)
-		}
-		ids = append(ids, int32(id))
-		prev = id
-	}
-	return ids, nil
-}
-
 // fingerprint hashes every name and sequence in ID order; it is the
 // identity a search job pins in its WAL record so a resume against a
 // rebuilt (different) corpus fails instead of silently mixing results.
@@ -185,16 +119,15 @@ func fingerprint(names []string, seqs []dna.Seq) string {
 	return fmt.Sprintf("%08x", h.Sum32())
 }
 
-// Corpus is an opened index: the sequences, their k-mer posting lists
-// and the manifest identity, all memory-resident. Read-only and safe
-// for concurrent use.
+// Corpus is an opened index: the sequences, the k-mer posting lists
+// built from them and the manifest identity, all memory-resident.
+// Read-only and safe for concurrent use.
 type Corpus struct {
 	k          int
 	names      []string
 	seqs       []dna.Seq
 	postings   [][]int32
 	totalBases int64
-	maxLen     int
 	print      string
 }
 
@@ -233,7 +166,9 @@ type Builder struct {
 // NewBuilder starts an index build into dir (created if missing; must
 // not already hold a manifest).
 func NewBuilder(dir string, opts IndexOptions) (*Builder, error) {
-	opts = opts.withDefaults()
+	if opts.K == 0 {
+		opts.K = DefaultK
+	}
 	if opts.K < minK || opts.K > maxK {
 		return nil, fmt.Errorf("corpus: k must be %d..%d, got %d", minK, maxK, opts.K)
 	}
@@ -255,8 +190,8 @@ func (b *Builder) Add(name string, seq dna.Seq) error {
 	switch {
 	case len(seq) == 0:
 		b.err = fmt.Errorf("corpus: sequence %q is empty", name)
-	case len(seq) > b.opts.MaxSeqLen:
-		b.err = fmt.Errorf("corpus: sequence %q has %d bases, cap %d", name, len(seq), b.opts.MaxSeqLen)
+	case len(seq) > maxSeqLen:
+		b.err = fmt.Errorf("corpus: sequence %q has %d bases, cap %d", name, len(seq), maxSeqLen)
 	default:
 		b.names = append(b.names, name)
 		b.seqs = append(b.seqs, seq)
@@ -264,9 +199,10 @@ func (b *Builder) Add(name string, seq dna.Seq) error {
 	return b.err
 }
 
-// Commit writes the segments, the posting lists and finally the
-// manifest (the commit point), fsyncing files and directory so a
-// crash mid-build never yields a half-index that Open accepts.
+// Commit writes the segments and finally the manifest (the commit
+// point), fsyncing files and directory so a crash mid-build never
+// yields a half-index that Open accepts. The returned Corpus holds the
+// posting lists Open would build from the same sequences.
 func (b *Builder) Commit() (*Corpus, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -278,14 +214,10 @@ func (b *Builder) Commit() (*Corpus, error) {
 	// Segments, one file per occupied length bucket, records in ID order.
 	byBucket := map[int][]int{}
 	var totalBases int64
-	maxLen := 0
 	for id, s := range b.seqs {
 		bk := bucketFor(len(s))
 		byBucket[bk] = append(byBucket[bk], id)
 		totalBases += int64(len(s))
-		if len(s) > maxLen {
-			maxLen = len(s)
-		}
 	}
 	buckets := make([]int, 0, len(byBucket))
 	for bk := range byBucket {
@@ -302,16 +234,13 @@ func (b *Builder) Commit() (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.writePostings(postings); err != nil {
-		return nil, err
-	}
 
 	man := manifest{
 		Schema:      ManifestSchema,
 		K:           b.opts.K,
 		Seqs:        len(b.seqs),
 		Buckets:     buckets,
-		MaxSeqLen:   b.opts.MaxSeqLen,
+		MaxSeqLen:   maxSeqLen,
 		TotalBases:  totalBases,
 		Fingerprint: fingerprint(b.names, b.seqs),
 	}
@@ -331,7 +260,6 @@ func (b *Builder) Commit() (*Corpus, error) {
 		seqs:       b.seqs,
 		postings:   postings,
 		totalBases: totalBases,
-		maxLen:     maxLen,
 		print:      man.Fingerprint,
 	}, nil
 }
@@ -341,25 +269,6 @@ func (b *Builder) writeSegment(bucket int, ids []int) error {
 	return writeFileSync(filepath.Join(b.dir, segmentFile(bucket)), func(w io.Writer) error {
 		for _, id := range ids {
 			payload, err := json.Marshal(seqRecord{ID: id, Name: b.names[id], Seq: b.seqs[id].String()})
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(encodeLine(payload)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// writePostings writes the non-empty posting lists as CRC lines.
-func (b *Builder) writePostings(postings [][]int32) error {
-	return writeFileSync(filepath.Join(b.dir, "postings.log"), func(w io.Writer) error {
-		for kmer, ids := range postings {
-			if len(ids) == 0 {
-				continue
-			}
-			payload, err := json.Marshal(postingRecord{Kmer: kmer, IDs: encodeIDs(ids)})
 			if err != nil {
 				return err
 			}
@@ -461,11 +370,13 @@ func Build(dir string, recs []dna.Record, opts IndexOptions) (*Corpus, error) {
 	return b.Commit()
 }
 
-// Open loads an index directory: manifest, every segment, the posting
-// lists — verifying CRCs line by line, the ID space (dense, no gaps, no
-// duplicates), the posting invariants and finally the fingerprint
-// against the manifest. Any mismatch fails with a typed error wrapping
-// ErrCorrupt rather than serving a silently wrong corpus.
+// Open loads an index directory: the manifest and every segment,
+// verifying CRCs line by line, the ID space (dense, no gaps, no
+// duplicates) and finally the fingerprint against the manifest. Any
+// mismatch fails with a typed error wrapping ErrCorrupt rather than
+// serving a silently wrong corpus. Open then builds the posting lists
+// from the verified sequences. It reads no other file, so the stored
+// posting lists an older index also holds are ignored.
 func Open(dir string) (*Corpus, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -515,9 +426,6 @@ func Open(dir string) (*Corpus, error) {
 			c.names[rec.ID] = rec.Name
 			c.seqs[rec.ID] = s
 			c.totalBases += int64(len(s))
-			if len(s) > c.maxLen {
-				c.maxLen = len(s)
-			}
 			seen++
 			return nil
 		})
@@ -535,28 +443,7 @@ func Open(dir string) (*Corpus, error) {
 		return nil, fmt.Errorf("%w: fingerprint %s, manifest says %s", ErrCorrupt, got, man.Fingerprint)
 	}
 
-	c.postings = make([][]int32, 1<<(2*uint(man.K)))
-	err = readLines(filepath.Join(dir, "postings.log"), func(payload []byte) error {
-		var rec postingRecord
-		d := json.NewDecoder(bytes.NewReader(payload))
-		d.DisallowUnknownFields()
-		if err := d.Decode(&rec); err != nil {
-			return fmt.Errorf("%w: bad posting record: %v", ErrCorrupt, err)
-		}
-		if rec.Kmer < 0 || rec.Kmer >= len(c.postings) {
-			return fmt.Errorf("%w: k-mer code %d out of range [0,%d)", ErrCorrupt, rec.Kmer, len(c.postings))
-		}
-		if c.postings[rec.Kmer] != nil {
-			return fmt.Errorf("%w: duplicate posting list for k-mer %d", ErrCorrupt, rec.Kmer)
-		}
-		ids, err := decodeIDs(rec.IDs, man.Seqs)
-		if err != nil {
-			return err
-		}
-		c.postings[rec.Kmer] = ids
-		return nil
-	})
-	if err != nil {
+	if c.postings, err = buildPostings(c.k, c.seqs); err != nil {
 		return nil, err
 	}
 	return c, nil

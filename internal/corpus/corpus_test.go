@@ -2,8 +2,7 @@ package corpus
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -60,6 +59,15 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(opened.postings, built.postings) {
 		t.Fatal("posting lists differ after reopen")
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if seg, _ := filepath.Match("seqs-*.log", e.Name()); !seg && e.Name() != "manifest.json" {
+			t.Errorf("index holds %s; want only manifest.json and seqs-*.log", e.Name())
+		}
+	}
 }
 
 func TestBuilderRejects(t *testing.T) {
@@ -70,12 +78,12 @@ func TestBuilderRejects(t *testing.T) {
 		t.Error("k=11: want error")
 	}
 	dir := t.TempDir()
-	b, err := NewBuilder(dir, IndexOptions{MaxSeqLen: 8})
+	b, err := NewBuilder(dir, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add("long", dna.RandSeq(rand.New(rand.NewPCG(3, 3)), 9)); err == nil {
-		t.Error("over MaxSeqLen: want error")
+	if err := b.Add("long", dna.RandSeq(rand.New(rand.NewPCG(3, 3)), maxSeqLen+1)); err == nil {
+		t.Error("over maxSeqLen: want error")
 	}
 	if _, err := b.Commit(); err == nil {
 		t.Error("commit after sticky error: want error")
@@ -109,7 +117,6 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		name   string
 		damage func(t *testing.T, dir string)
 	}{
-		{"postings-bitflip", func(t *testing.T, dir string) { flip(t, filepath.Join(dir, "postings.log"), 40) }},
 		{"segment-bitflip", func(t *testing.T, dir string) {
 			segs, _ := filepath.Glob(filepath.Join(dir, "seqs-*.log"))
 			if len(segs) == 0 {
@@ -432,59 +439,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeIDs(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.IntN(100)
-		ids := make([]int32, 0, n)
-		next := int32(0)
-		for len(ids) < n {
-			next += int32(1 + rng.IntN(50))
-			ids = append(ids, next)
-		}
-		if trial%3 == 0 && len(ids) > 0 {
-			ids[0] = 0 // exercise the first-ID-zero path
-		}
-		got, err := decodeIDs(encodeIDs(ids), 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("empty round-trip returned %v", got)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, ids) {
-			t.Fatalf("round-trip %v != %v", got, ids)
-		}
-	}
-	if _, err := decodeIDs(encodeIDs([]int32{5, 9}), 8); !errors.Is(err, ErrCorrupt) {
-		t.Error("out-of-range ID: want ErrCorrupt")
-	}
-	// Varints that only land in range after wrapping at 32 bits: a first
-	// ID of 2^32+3, and 3 followed by a delta of 2^32+2 (int32 arithmetic
-	// read both as in-range IDs 3 and 5).
-	varints := func(vs ...uint64) string {
-		var raw []byte
-		for _, v := range vs {
-			raw = binary.AppendUvarint(raw, v)
-		}
-		return base64.StdEncoding.EncodeToString(raw)
-	}
-	for _, tc := range []struct {
-		name string
-		vs   []uint64
-	}{
-		{"wrapped first ID", []uint64{1<<32 + 3}},
-		{"wrapped delta", []uint64{3, 1<<32 + 2}},
-	} {
-		if ids, err := decodeIDs(varints(tc.vs...), 8); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: decoded %v, err %v; want ErrCorrupt", tc.name, ids, err)
-		}
-	}
-}
-
 // TestPrefilterIsKmerStage pins the prefilter to one rule for every
 // query length: a sequence is a candidate exactly when it shares at least
 // min(MinKmerHits, distinct query k-mers) of the query's distinct k-mers.
@@ -546,4 +500,131 @@ func TestPrefilterIsKmerStage(t *testing.T) {
 	if nonEmpty[true] == 0 || nonEmpty[false] == 0 {
 		t.Fatalf("non-empty candidate sets by query ≤ 64 bases: %v; want both sides covered", nonEmpty)
 	}
+}
+
+// testdata/old-index was written by Build before Open built the posting
+// lists itself, so it also holds them stored, in postings.log. Recipe:
+//
+//	rng := rand.New(rand.NewPCG(2017, 5))
+//	recs := make([]dna.Record, 12)
+//	for i := range recs {
+//		recs[i] = dna.Record{Name: fmt.Sprintf("old-%02d", i), Seq: dna.RandSeq(rng, 10+rng.IntN(61))}
+//	}
+//	Build(dir, recs, IndexOptions{K: 3})
+//
+// Its 12 sequences of 12-70 bases fill the buckets 16, 32, 64 and 128.
+const oldIndexDir = "testdata/old-index"
+
+// kmerRule is the prefilter's rule, the one TestPrefilterIsKmerStage
+// pins, by brute force: the IDs of the sequences sharing at least
+// min(MinKmerHits, distinct query k-mers) of the query's distinct k-mers.
+func kmerRule(c *Corpus, q dna.Seq, p Params) []int32 {
+	kmers := func(s dna.Seq) map[string]bool {
+		set := map[string]bool{}
+		for i := 0; i+c.K() <= len(s); i++ {
+			set[s[i:i+c.K()].String()] = true
+		}
+		return set
+	}
+	qk := kmers(q)
+	need := min(p.Resolved().MinKmerHits, len(qk))
+	var ids []int32
+	for id := 0; id < c.Len(); id++ {
+		shared := 0
+		for km := range kmers(c.Seq(id)) {
+			if qk[km] {
+				shared++
+			}
+		}
+		if shared >= need {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
+// TestOpenOldIndex pins that an index written with a postings.log still
+// opens, to the fingerprint its manifest records and to the k-mer rule's
+// candidates, also after that file is damaged, since Open never reads it.
+func TestOpenOldIndex(t *testing.T) {
+	entries, err := os.ReadDir(oldIndexDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(oldIndexDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+
+	mustOpen := func(t *testing.T) *Corpus {
+		t.Helper()
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Fingerprint() != man.Fingerprint {
+			t.Fatalf("fingerprint %s, manifest says %s", c.Fingerprint(), man.Fingerprint)
+		}
+		return c
+	}
+	c := mustOpen(t)
+
+	// Random queries and mutated windows of the fixture's sequences, at
+	// thresholds from one shared k-mer to more than most queries hold.
+	rng := rand.New(rand.NewPCG(32, 1))
+	mut := dna.MutationModel{SubRate: 0.1, InsRate: 0.02, DelRate: 0.02}
+	var queries []dna.Seq
+	for i := 0; i < 12; i++ {
+		q := dna.RandSeq(rng, c.K()+rng.IntN(40))
+		if i%2 == 1 {
+			src := c.Seq(rng.IntN(c.Len()))
+			at := rng.IntN(len(src) - c.K() + 1)
+			q = mut.Mutate(rng, src[at:min(len(src), at+8+rng.IntN(40))])
+		}
+		queries = append(queries, q)
+	}
+	check := func(t *testing.T, c *Corpus) {
+		t.Helper()
+		proper := 0
+		for i, q := range queries {
+			p := Params{MinKmerHits: []int{1, 4, 8, 16}[i%4]}
+			want := kmerRule(c, q, p)
+			if got := c.Prefilter(q, p); !got.Prefiltered || !slices.Equal(got.IDs, want) {
+				t.Fatalf("query %d (%d bases, min hits %d): IDs %v, want %v", i, len(q), p.MinKmerHits, got.IDs, want)
+			}
+			if len(want) > 0 && len(want) < c.Len() {
+				proper++
+			}
+		}
+		if proper == 0 {
+			t.Fatal("every candidate set is empty or the whole corpus")
+		}
+	}
+	check(t, c)
+
+	// Break the CRC header of the file's second line.
+	postings := filepath.Join(dir, "postings.log")
+	raw, err = os.ReadFile(postings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[40] ^= 0x01
+	if err := os.WriteFile(postings, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check(t, mustOpen(t))
 }

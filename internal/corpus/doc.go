@@ -7,21 +7,23 @@
 //
 // # On-disk layout
 //
-// An index directory holds three kinds of file, all using the jobstore
-// WAL idiom of CRC-checked JSON lines (crc32hex<space>payload\n, CRC-32
-// IEEE over the payload bytes):
+// An index directory holds two kinds of file:
 //
 //   - seqs-<bucket>.log — the sequences, segmented by length bucket (the
 //     smallest power of two ≥ the sequence length, minimum 16), one
-//     record per line carrying the sequence's corpus ID, name and bases.
-//   - postings.log — the k-mer posting lists: for every k-mer that
-//     occurs in the corpus, the ascending list of sequence IDs that
-//     contain it, delta-encoded as varints and base64-wrapped.
+//     record per line carrying the sequence's corpus ID, name and bases,
+//     in the jobstore WAL idiom of CRC-checked JSON lines
+//     (crc32hex<space>payload\n, CRC-32 IEEE over the payload bytes).
 //   - manifest.json — the commit point: schema tag, k, sequence count,
 //     bucket list and the corpus fingerprint (CRC-32 over every name and
 //     sequence in ID order). A directory without a readable manifest is
 //     not a corpus; Open re-derives the fingerprint from the segments
 //     and refuses a corpus whose content does not match its manifest.
+//
+// The k-mer posting lists (for every k-mer in the corpus, the ascending
+// IDs of the sequences that contain it) are not stored: Open builds them
+// from the sequences it has just verified. An index written by an older
+// release also holds the lists in a file of their own; Open ignores it.
 //
 // # Query path
 //

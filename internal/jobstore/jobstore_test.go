@@ -549,7 +549,7 @@ func TestFailedAppendLeavesNoRecord(t *testing.T) {
 // default (real) fsyncDir implementation performs against the real dir.
 func TestOpenSyncsDirOnFirstSegment(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1<<20, SyncAlways, 0)
+	w, err := openWAL(dir, 1<<20, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,7 +260,7 @@ func Open(opts Options) (*Store, ReplayReport, error) {
 		s.seq = rec.Seq
 	}
 	rep.Jobs = len(s.jobs)
-	w, err := openWAL(opts.Dir, opts.SegmentBytes, opts.Sync, s.seq)
+	w, err := openWAL(opts.Dir, opts.SegmentBytes, opts.Sync)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -469,8 +469,7 @@ type wal struct {
 
 	f      *os.File
 	segNum int
-	size   int64  // bytes of whole records in f
-	seq    uint64 // last sequence number written or replayed
+	size   int64 // bytes of whole records in f
 	// broken is set when a failed append could not be undone: every later
 	// append fails with it until the store is reopened and replay repairs
 	// the log.
@@ -503,8 +502,8 @@ func fsyncDir(dir string) error {
 // openWAL positions the writer after replay: appends go to the last
 // surviving segment (already truncated past any corruption), or a fresh
 // first segment for an empty directory.
-func openWAL(dir string, segBytes int64, policy SyncPolicy, lastSeq uint64) (*wal, error) {
-	w := &wal{dir: dir, segBytes: segBytes, policy: policy, seq: lastSeq, segNum: 1,
+func openWAL(dir string, segBytes int64, policy SyncPolicy) (*wal, error) {
+	w := &wal{dir: dir, segBytes: segBytes, policy: policy, segNum: 1,
 		syncDir: fsyncDir, syncFile: (*os.File).Sync}
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -570,7 +569,6 @@ func (w *wal) append(rec Record) error {
 		return fmt.Errorf("jobstore: append: %w", err)
 	}
 	w.size += int64(len(line))
-	w.seq = rec.Seq
 	return nil
 }
 
