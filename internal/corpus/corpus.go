@@ -394,6 +394,22 @@ func Open(dir string) (*Corpus, error) {
 	if man.K < minK || man.K > maxK || man.Seqs <= 0 {
 		return nil, fmt.Errorf("%w: manifest k=%d seqs=%d out of range", ErrCorrupt, man.K, man.Seqs)
 	}
+	// The manifest carries no CRC, so bound its counts by the segments on
+	// disk before sizing anything by them: every sequence holds a base, and
+	// every base takes at least a byte. A missing segment is damage, not a
+	// missing index, so os.ErrNotExist stays out of the chain.
+	var segBytes int64
+	for _, bk := range man.Buckets {
+		st, err := os.Stat(filepath.Join(dir, segmentFile(bk)))
+		if err != nil {
+			return nil, fmt.Errorf("%w: segment of bucket %d: %v", ErrCorrupt, bk, err)
+		}
+		segBytes += st.Size()
+	}
+	if int64(man.Seqs) > man.TotalBases || man.TotalBases > segBytes {
+		return nil, fmt.Errorf("%w: manifest says %d sequences of %d bases in %d bytes of segments",
+			ErrCorrupt, man.Seqs, man.TotalBases, segBytes)
+	}
 
 	c := &Corpus{
 		k:     man.K,

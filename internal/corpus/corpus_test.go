@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
 	"testing"
@@ -152,14 +154,41 @@ func TestOpenRejectsCorruption(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// A count too large to allocate must fail before Open sizes its
+		// tables by it.
+		{"manifest-seqs-huge", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "manifest.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := regexp.MustCompile(`"seqs": *\d+`).ReplaceAll(raw, []byte(`"seqs":4611686018427387904`))
+			if bytes.Equal(damaged, raw) {
+				t.Fatal("manifest has no seqs count")
+			}
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"missing-segment", func(t *testing.T, dir string) {
+			segs, _ := filepath.Glob(filepath.Join(dir, "seqs-*.log"))
+			if err := os.Remove(segs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			buildSmall(t, dir, 50, IndexOptions{})
 			tc.damage(t, dir)
-			if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+			_, err := Open(dir)
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open after damage: err = %v, want ErrCorrupt", err)
+			}
+			// Only a missing manifest means no index (dbfilter builds one then).
+			if errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("Open after damage: err = %v wraps os.ErrNotExist", err)
 			}
 		})
 	}

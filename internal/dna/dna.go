@@ -5,10 +5,7 @@
 // homologous pairs.
 package dna
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Base is a 2-bit encoded DNA base, using the paper's encoding:
 // A=00, G=10, C=11, T=01.
@@ -27,33 +24,35 @@ func (b Base) High() uint8 { return uint8(b) >> 1 & 1 }
 // Low returns the low bit of the 2-bit code.
 func (b Base) Low() uint8 { return uint8(b) & 1 }
 
+// letters holds the ASCII letter of each 2-bit code.
+const letters = "ATGC"
+
 // Byte returns the ASCII letter for the base.
-func (b Base) Byte() byte {
-	switch b & 3 {
-	case A:
-		return 'A'
-	case T:
-		return 'T'
-	case G:
-		return 'G'
-	default:
-		return 'C'
-	}
-}
+func (b Base) Byte() byte { return letters[b&3] }
 
 func (b Base) String() string { return string(b.Byte()) }
 
+// badBase marks a byte that is no base in the codes table. Every base's
+// entry is its 2-bit code, so one OR over a run of entries shows whether any
+// byte was bad.
+const badBase = 0x80
+
+// codes maps each byte to its base's 2-bit code, either case, or to badBase.
+var codes = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = badBase
+	}
+	for code, c := range letters {
+		t[c] = uint8(code)
+		t[c|0x20] = uint8(code) // lower case
+	}
+	return t
+}()
+
 // ParseBase converts an ASCII letter (either case) to a Base.
 func ParseBase(c byte) (Base, error) {
-	switch c {
-	case 'A', 'a':
-		return A, nil
-	case 'T', 't':
-		return T, nil
-	case 'G', 'g':
-		return G, nil
-	case 'C', 'c':
-		return C, nil
+	if code := codes[c]; code != badBase {
+		return Base(code), nil
 	}
 	return 0, fmt.Errorf("dna: invalid base %q", c)
 }
@@ -65,14 +64,37 @@ type Seq []Base
 // Parse converts a string of ACGT letters into a sequence.
 func Parse(s string) (Seq, error) {
 	seq := make(Seq, len(s))
-	for i := 0; i < len(s); i++ {
-		b, err := ParseBase(s[i])
-		if err != nil {
-			return nil, fmt.Errorf("dna: position %d: %w", i, err)
-		}
-		seq[i] = b
+	if err := ParseInto(seq, s); err != nil {
+		return nil, err
 	}
 	return seq, nil
+}
+
+// ParseInto is Parse into the caller's buffer: it writes the bases of s,
+// a string or a byte slice, to dst[:len(s)], and fails with Parse's error
+// if any byte is not a base, leaving dst's contents unspecified. It panics
+// if dst is shorter than s.
+//
+// Each byte goes through one table lookup and the entries are ORed, so
+// valid input costs no branch per base; only a failed parse scans again
+// for the first bad byte's position.
+func ParseInto[S ~string | ~[]byte](dst Seq, s S) error {
+	dst = dst[:len(s)]
+	var bad uint8
+	for i := range dst {
+		c := codes[s[i]]
+		dst[i] = Base(c)
+		bad |= c
+	}
+	if bad&badBase == 0 {
+		return nil
+	}
+	for i := range dst {
+		if _, err := ParseBase(s[i]); err != nil {
+			return fmt.Errorf("dna: position %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // MustParse is Parse for constant inputs in tests and examples.
@@ -85,12 +107,11 @@ func MustParse(s string) Seq {
 }
 
 func (s Seq) String() string {
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for _, b := range s {
-		sb.WriteByte(b.Byte())
+	b := make([]byte, len(s))
+	for i, c := range s {
+		b[i] = letters[c&3]
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Clone returns a copy of the sequence.

@@ -2,6 +2,7 @@ package dna
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -48,6 +49,80 @@ func TestParseRoundTrip(t *testing.T) {
 	lower, err := Parse("atcg")
 	if err != nil || lower.String() != "ATCG" {
 		t.Errorf("lowercase parse failed: %v %q", err, lower)
+	}
+}
+
+// switchParseBase is the per-byte switch ParseBase was before the code
+// table; the table must accept and reject exactly the same bytes.
+func switchParseBase(c byte) (Base, bool) {
+	switch c {
+	case 'A', 'a':
+		return A, true
+	case 'T', 't':
+		return T, true
+	case 'G', 'g':
+		return G, true
+	case 'C', 'c':
+		return C, true
+	}
+	return 0, false
+}
+
+// TestParseTableMatchesSwitch pins the table-driven parse to the switch it
+// replaced: every byte value is accepted or rejected as before, and the
+// error text for a bad byte at the first, a middle and the last position
+// is byte for byte what the switch-based Parse printed.
+func TestParseTableMatchesSwitch(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		want, ok := switchParseBase(byte(c))
+		got, err := ParseBase(byte(c))
+		if (err == nil) != ok || got != want {
+			t.Errorf("ParseBase(%#02x) = %v, %v; want %v, ok=%v", c, got, err, want, ok)
+		}
+		if err != nil && err.Error() != fmt.Sprintf("dna: invalid base %q", byte(c)) {
+			t.Errorf("ParseBase(%#02x) error %q", c, err)
+		}
+		s := "AC" + string([]byte{byte(c)}) + "GT"
+		seq, err := Parse(s)
+		if (err == nil) != ok || (ok && seq[2] != want) {
+			t.Errorf("Parse(%q) = %v, %v", s, seq, err)
+		}
+	}
+	cases := []struct{ in, err string }{
+		{"\x00CGT", `dna: position 0: dna: invalid base '\x00'`},
+		{"ACNGT", `dna: position 2: dna: invalid base 'N'`},
+		{"ACGTX", `dna: position 4: dna: invalid base 'X'`},
+		{"ACGT\xff", `dna: position 4: dna: invalid base 'ÿ'`},
+		{"acgt\xc3\xa9", `dna: position 4: dna: invalid base 'Ã'`},
+		{"A\"CGT", `dna: position 1: dna: invalid base '"'`},
+		{"ACGT\\", `dna: position 4: dna: invalid base '\\'`},
+	}
+	for _, tc := range cases {
+		if _, err := Parse(tc.in); err == nil || err.Error() != tc.err {
+			t.Errorf("Parse(%q) error %v, want %q", tc.in, err, tc.err)
+		}
+		dst := make(Seq, len(tc.in))
+		if err := ParseInto(dst, []byte(tc.in)); err == nil || err.Error() != tc.err {
+			t.Errorf("ParseInto(%q) error %v, want %q", tc.in, err, tc.err)
+		}
+	}
+}
+
+func TestParseIntoMatchesParse(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		s := RandSeq(rng, n).String()
+		mixed := []byte(s)
+		for i := range mixed {
+			if rng.IntN(2) == 0 {
+				mixed[i] |= 0x20 // lower case
+			}
+		}
+		want := MustParse(s)
+		dst := make(Seq, n+3) // a buffer longer than s, as an arena is
+		if err := ParseInto(dst, mixed); err != nil || !dst[:n].Equal(want) {
+			t.Fatalf("n=%d: ParseInto = %v, %v; want %v", n, dst[:n], err, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alignsvc"
 	"repro/internal/dna"
 	"repro/internal/jobstore"
 	"repro/internal/tenant"
@@ -198,13 +199,32 @@ func TestHubSubscribeSeedAlwaysFirst(t *testing.T) {
 	}
 }
 
+// gatedBackend holds every scoring batch until open is closed.
+type gatedBackend struct {
+	alignsvc.Backend
+	open <-chan struct{}
+}
+
+func (g gatedBackend) AlignBatch(ctx context.Context, pairs []dna.Pair, opts alignsvc.BatchOpts) ([]int, alignsvc.BatchStats, error) {
+	select {
+	case <-ctx.Done():
+		return nil, alignsvc.BatchStats{}, ctx.Err()
+	case <-g.open:
+	}
+	return g.Backend.AlignBatch(ctx, pairs, opts)
+}
+
 // TestEventsObserveEveryChunk runs a real job with a live subscriber and
 // asserts the feed carries every chunk checkpoint exactly once, ending
 // with the done state — and that disconnecting subscribers leaks no
-// goroutines.
+// goroutines. No chunk scores until the subscription exists: a feed starts
+// from a snapshot, so a chunk checkpointed before it would be missed.
 func TestEventsObserveEveryChunk(t *testing.T) {
 	before := runtime.NumGoroutine()
-	svc := newTestService(t, nil)
+	open := make(chan struct{})
+	svc := newTestService(t, func(be alignsvc.Backend) alignsvc.Backend {
+		return gatedBackend{Backend: be, open: open}
+	})
 	m, store := newTestManager(t, t.TempDir(), svc, func(c *Config) {
 		c.EventBuffer = 64
 	})
@@ -221,6 +241,7 @@ func TestEventsObserveEveryChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	close(open)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -600,12 +601,11 @@ func hopsContain(hops []string, id string) bool {
 	return false
 }
 
-// parseRequest decodes, bounds and validates the request body, returning
-// the batch and the effective deadline, or the HTTP status + error code to
-// reject with.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (pairs []dna.Pair, timeout time.Duration, status int, code string, err error) {
+// decodeAlign is the general decode: encoding/json, then the checks of
+// parsePairs or presetPairs. Any body JSON allows decodes here: escapes,
+// preset, keys in any case, duplicate keys, null.
+func (s *Server) decodeAlign(body io.Reader) (pairs []dna.Pair, timeout time.Duration, status int, code string, err error) {
 	var req AlignRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
