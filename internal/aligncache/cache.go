@@ -1,6 +1,6 @@
 // Package aligncache memoizes alignment scores by content: a sharded,
 // bounded LRU keyed by a cryptographic hash of everything that determines a
-// score — the pattern bytes, the text bytes, the scoring scheme and the lane
+// score — the pattern bases, the text bases, the scoring scheme and the lane
 // width — so a hit is byte-identical to a recompute by construction (see
 // DESIGN.md §11 for the correctness argument). Real alignment traffic is
 // highly redundant (database screening re-runs the same pattern panels),
@@ -11,9 +11,15 @@
 //
 //   - Bounded memory: every entry is charged its sequence bytes plus a fixed
 //     overhead against MaxBytes; inserting past the bound evicts from the
-//     least-recently-used tail.
+//     least-recently-used tail. The charge is an upper bound on what an
+//     entry occupies, not its footprint: the cache stores no bases.
 //   - TTL: entries older than TTL are treated as misses and evicted on
 //     contact, so a long-lived server does not serve unbounded-age results.
+//
+// Nothing the cache stores holds a pointer. Each shard keeps its entries in
+// one slice of slots linked into the LRU order by int32 indices, and maps
+// each key to its slot index, so the garbage collector allocates both as
+// memory it never scans, however many entries are live.
 //
 // A miss is only a miss: the caller scores the pair and Puts it. Two callers
 // that miss the same key at once both score it, because a missed pair costs
@@ -29,9 +35,9 @@
 package aligncache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,8 +55,12 @@ type Key [32]byte
 
 // keyVersion is the first byte of the hashed encoding; bump it if the
 // encoding (or the meaning of a score) ever changes, so stale processes
-// sharing a key format can never alias.
-const keyVersion = 1
+// sharing a key format can never alias. keyVersionRaw marks the unpacked
+// encoding of a pair holding a code above 3.
+const (
+	keyVersion    = 2
+	keyVersionRaw = keyVersion | 0x80
+)
 
 // keyBufPool recycles the hash staging buffer so KeyOf performs no
 // steady-state allocation on the hot path.
@@ -59,11 +69,15 @@ var keyBufPool = sync.Pool{
 }
 
 // KeyOf derives the content-addressed key of one pair under a scoring scheme
-// and lane width. The encoding is injective: fixed-width header (version,
-// lanes, match, mismatch, gap, len(x)) followed by the raw 2-bit-coded
-// pattern and text bytes — the pattern length delimits where x ends and y
-// begins, and shapes are uniform per batch, so no two distinct inputs share
-// an encoding.
+// and lane width. The encoding is injective: a fixed-width header (version,
+// lanes, match, mismatch, gap, len(x), len(y)) followed by the pattern and
+// the text in the paper's 2-bit packed format (dna.Packed: four bases to a
+// byte, the last byte of each zero-padded so the text starts on a byte
+// boundary). The two lengths delimit both sequences and their padding, so
+// no two distinct inputs share an encoding. A Seq holding a code above 3,
+// which only code building a Seq by hand can make, is hashed one byte per
+// base under keyVersionRaw instead, so the key stays injective over every
+// input.
 //
 // The serving backend is deliberately NOT part of the key. Every backend
 // (bitwise-sim, wordwise-sim, striped, cpu-ref) is required to produce
@@ -78,20 +92,17 @@ var keyBufPool = sync.Pool{
 // invariant for the current backends.
 func KeyOf(x, y dna.Seq, sc swa.Scoring, lanes int) Key {
 	bp := keyBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	var hdr [44]byte
-	hdr[0] = keyVersion
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(lanes))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(sc.Match)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(sc.Mismatch)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(sc.Gap)))
-	binary.LittleEndian.PutUint64(hdr[36:], uint64(len(x)))
-	b = append(b, hdr[:]...)
-	for _, c := range x {
-		b = append(b, byte(c))
-	}
-	for _, c := range y {
-		b = append(b, byte(c))
+	b := appendKeyHeader((*bp)[:0], keyVersion, x, y, sc, lanes)
+	b, okX := appendPacked(b, x)
+	b, okY := appendPacked(b, y)
+	if !okX || !okY {
+		b = appendKeyHeader(b[:0], keyVersionRaw, x, y, sc, lanes)
+		for _, c := range x {
+			b = append(b, byte(c))
+		}
+		for _, c := range y {
+			b = append(b, byte(c))
+		}
 	}
 	k := Key(sha256.Sum256(b))
 	*bp = b[:0]
@@ -99,10 +110,71 @@ func KeyOf(x, y dna.Seq, sc swa.Scoring, lanes int) Key {
 	return k
 }
 
-// entryOverheadBytes approximates the fixed per-entry cost (key copy, list
-// element, map slot, entry struct) charged against MaxBytes on top of the
-// sequence bytes, so MaxBytes bounds real memory, not just payload.
+func appendKeyHeader(b []byte, version byte, x, y dna.Seq, sc swa.Scoring, lanes int) []byte {
+	var hdr [52]byte
+	hdr[0] = version
+	binary.LittleEndian.PutUint64(hdr[4:], uint64(lanes))
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(sc.Match)))
+	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(sc.Mismatch)))
+	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(sc.Gap)))
+	binary.LittleEndian.PutUint64(hdr[36:], uint64(len(x)))
+	binary.LittleEndian.PutUint64(hdr[44:], uint64(len(y)))
+	return append(b, hdr[:]...)
+}
+
+// appendPacked appends s in dna.Packed's layout, base i at bit 2*(i%4) of
+// byte i/4 and the last byte zero-padded. It reports false when some base
+// held a code above 3, which its two bits cannot hold.
+func appendPacked(b []byte, s dna.Seq) ([]byte, bool) {
+	var or uint64
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := load8(s[i:])
+		or |= w
+		b = binary.LittleEndian.AppendUint16(b, uint16(pack8(w)))
+	}
+	if i < len(s) {
+		var w uint64
+		for j, c := range s[i:] {
+			w |= uint64(c) << (8 * j)
+		}
+		or |= w
+		p := pack8(w)
+		for j := 0; j < len(s)-i; j += 4 {
+			b = append(b, byte(p>>(2*j)))
+		}
+	}
+	return b, or&^0x0303030303030303 == 0
+}
+
+// load8 reads eight bases as one little-endian word, base j in byte j.
+func load8(s dna.Seq) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// pack8 gathers the low two bits of each byte of w into the low 16 bits,
+// byte j's bits at 2j.
+func pack8(w uint64) uint64 {
+	w &= 0x0303030303030303
+	w = (w | w>>6) & 0x000f000f000f000f
+	w = (w | w>>12) & 0x000000ff000000ff
+	return (w | w>>24) & 0xffff
+}
+
+// entryOverheadBytes is the fixed part of an entry's MaxBytes charge, on top
+// of its sequence bytes. An entry occupies one 64-byte slot (key, score,
+// charge, expiry and two links) and one map slot (key and index), 83–139
+// bytes in all with the growth slack of both, and stores no bases, so the
+// charge is an upper bound on the cache's memory, not its footprint.
 const entryOverheadBytes = 160
+
+// maxShardBudget caps a shard's byte budget so that its slot indices fit an
+// int32: an entry is charged at least entryOverheadBytes, so a shard within
+// this budget never holds more than math.MaxInt32 slots. The cap is 343 GB
+// per shard, past any memory the cache could be given.
+const maxShardBudget = (math.MaxInt32 - 1) * entryOverheadBytes
 
 // Cost returns the MaxBytes charge of caching one pair's score.
 func Cost(x, y dna.Seq) int64 {
@@ -130,20 +202,30 @@ type Config struct {
 	now func() time.Time
 }
 
-// entry is one cached score. Entries live in a shard's LRU list; the map
-// points at the list element.
-type entry struct {
-	key     Key
-	score   int
-	cost    int64
-	expires time.Time // zero when TTL is disabled
+// nilSlot ends an LRU or free list.
+const nilSlot = -1
+
+// slot is one cached score, linked into its shard's LRU list (or, once
+// evicted, its free list) by index. It holds no pointer, so a []slot is
+// memory the garbage collector never scans.
+type slot struct {
+	key   Key
+	score int
+	cost  int64
+	// expires is the entry's expiry in nanoseconds since the cache was
+	// built; unused when TTL is disabled.
+	expires    int64
+	prev, next int32
 }
 
 type shard struct {
 	mu    sync.Mutex
-	byKey map[Key]*list.Element // -> *entry (element value)
-	lru   *list.List            // front = most recently used
-	bytes int64
+	byKey map[Key]int32 // -> index into slots of the key's live slot
+	slots []slot
+	// head and tail are the most and least recently used live slots; free
+	// heads the evicted slots awaiting reuse, linked through next.
+	head, tail, free int32
+	bytes            int64
 }
 
 // Cache is a sharded, bounded, TTL-expiring score cache. Create with New;
@@ -152,6 +234,11 @@ type shard struct {
 type Cache struct {
 	cfg    Config
 	shards []*shard
+	// budget is each shard's equal slice of MaxBytes, so the global bound
+	// holds without cross-shard coordination.
+	budget int64
+	// start is the TTL clock's origin for slot expiries.
+	start time.Time
 
 	hits, misses       atomic.Int64
 	evictLRU, evictTTL atomic.Int64
@@ -178,9 +265,14 @@ func New(cfg Config) *Cache {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	c := &Cache{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	c := &Cache{
+		cfg:    cfg,
+		shards: make([]*shard, cfg.Shards),
+		budget: min(max(cfg.MaxBytes/int64(cfg.Shards), 1), maxShardBudget),
+		start:  cfg.now(),
+	}
 	for i := range c.shards {
-		c.shards[i] = &shard{byKey: make(map[Key]*list.Element), lru: list.New()}
+		c.shards[i] = &shard{byKey: make(map[Key]int32), head: nilSlot, tail: nilSlot, free: nilSlot}
 	}
 	reg := cfg.Metrics
 	reg.Help("aligncache_hits_total", "Cache lookups served from a stored score.")
@@ -207,6 +299,9 @@ func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[int(binary.LittleEndian.Uint32(k[:4]))%len(c.shards)]
 }
 
+// age is the TTL clock's reading, in nanoseconds since the cache was built.
+func (c *Cache) age() int64 { return int64(c.cfg.now().Sub(c.start)) }
+
 // Put inserts a score with the given MaxBytes charge, or refreshes the
 // entry's recency, expiry and charge if the key is live. Callers publish
 // every score they computed (two concurrent misses Put the same score
@@ -232,19 +327,18 @@ func (c *Cache) Get(k Key) (int, bool) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	defer func() { c.lookupLat.ObserveDuration(time.Since(begin)) }()
-	if el, live := sh.byKey[k]; live {
-		e := el.Value.(*entry)
-		if e.expires.IsZero() || c.cfg.now().Before(e.expires) {
-			sh.lru.MoveToFront(el)
+	if i, live := sh.byKey[k]; live {
+		if c.cfg.TTL <= 0 || c.age() < sh.slots[i].expires {
+			sh.moveToFront(i)
 			// Read the score under the lock: a concurrent Put of the same
-			// key rewrites the entry in place.
-			score := e.score
+			// key rewrites the slot in place.
+			score := sh.slots[i].score
 			sh.mu.Unlock()
 			c.hits.Add(1)
 			c.mHits.Inc()
 			return score, true
 		}
-		c.removeLocked(sh, el)
+		c.removeLocked(sh, i)
 		c.evictTTL.Add(1)
 		c.mEvictTTL.Inc()
 	}
@@ -255,39 +349,38 @@ func (c *Cache) Get(k Key) (int, bool) {
 }
 
 // insertLocked adds or refreshes an entry and evicts the LRU tail past the
-// per-shard byte budget. Requires sh.mu held.
+// shard's byte budget. Requires sh.mu held.
 func (c *Cache) insertLocked(sh *shard, k Key, score int, cost int64) {
 	if cost < entryOverheadBytes {
 		cost = entryOverheadBytes
 	}
-	var expires time.Time
+	var expires int64
 	if c.cfg.TTL > 0 {
-		expires = c.cfg.now().Add(c.cfg.TTL)
+		age := c.age()
+		if expires = age + int64(c.cfg.TTL); expires < age {
+			expires = math.MaxInt64 // past the clock's range: never expires
+		}
 	}
-	if el, live := sh.byKey[k]; live {
+	if i, live := sh.byKey[k]; live {
 		// Refresh in place: identical inputs give identical scores, so only
 		// the recency and expiry change.
-		e := el.Value.(*entry)
-		e.score, e.expires = score, expires
-		sh.bytes += cost - e.cost
-		c.bytes.Add(cost - e.cost)
-		e.cost = cost
-		sh.lru.MoveToFront(el)
+		s := &sh.slots[i]
+		s.score, s.expires = score, expires
+		sh.bytes += cost - s.cost
+		c.bytes.Add(cost - s.cost)
+		s.cost = cost
+		sh.moveToFront(i)
 	} else {
-		el := sh.lru.PushFront(&entry{key: k, score: score, cost: cost, expires: expires})
-		sh.byKey[k] = el
+		i := sh.alloc()
+		sh.slots[i] = slot{key: k, score: score, cost: cost, expires: expires}
+		sh.pushFront(i)
+		sh.byKey[k] = i
 		sh.bytes += cost
 		c.bytes.Add(cost)
 		c.entries.Add(1)
 	}
-	// Each shard owns an equal slice of the global budget, so the global
-	// bound holds without cross-shard coordination.
-	budget := c.cfg.MaxBytes / int64(len(c.shards))
-	if budget < 1 {
-		budget = 1
-	}
-	for sh.bytes > budget && sh.lru.Len() > 1 {
-		c.removeLocked(sh, sh.lru.Back())
+	for sh.bytes > c.budget && sh.head != sh.tail {
+		c.removeLocked(sh, sh.tail)
 		c.evictLRU.Add(1)
 		c.mEvictLRU.Inc()
 	}
@@ -295,16 +388,61 @@ func (c *Cache) insertLocked(sh *shard, k Key, score int, cost int64) {
 	c.gEntries.Set(float64(c.entries.Load()))
 }
 
-// removeLocked unlinks one entry. Requires sh.mu held.
-func (c *Cache) removeLocked(sh *shard, el *list.Element) {
-	e := el.Value.(*entry)
-	sh.lru.Remove(el)
-	delete(sh.byKey, e.key)
-	sh.bytes -= e.cost
-	c.bytes.Add(-e.cost)
+// removeLocked unlinks one live slot and frees it for reuse. Requires sh.mu
+// held.
+func (c *Cache) removeLocked(sh *shard, i int32) {
+	s := &sh.slots[i]
+	sh.unlink(i)
+	delete(sh.byKey, s.key)
+	sh.bytes -= s.cost
+	c.bytes.Add(-s.cost)
 	c.entries.Add(-1)
+	s.next, sh.free = sh.free, i
 	c.gBytes.Set(float64(c.bytes.Load()))
 	c.gEntries.Set(float64(c.entries.Load()))
+}
+
+// alloc takes a slot off the free list, or grows the slice when none is
+// free. The slice never shrinks: its length is the shard's high-water mark
+// of live entries plus the one being inserted, which the byte budget bounds.
+func (sh *shard) alloc() int32 {
+	if i := sh.free; i != nilSlot {
+		sh.free = sh.slots[i].next
+		return i
+	}
+	sh.slots = append(sh.slots, slot{})
+	return int32(len(sh.slots) - 1)
+}
+
+func (sh *shard) pushFront(i int32) {
+	sh.slots[i].prev, sh.slots[i].next = nilSlot, sh.head
+	if sh.head != nilSlot {
+		sh.slots[sh.head].prev = i
+	} else {
+		sh.tail = i
+	}
+	sh.head = i
+}
+
+func (sh *shard) unlink(i int32) {
+	prev, next := sh.slots[i].prev, sh.slots[i].next
+	if prev != nilSlot {
+		sh.slots[prev].next = next
+	} else {
+		sh.head = next
+	}
+	if next != nilSlot {
+		sh.slots[next].prev = prev
+	} else {
+		sh.tail = prev
+	}
+}
+
+func (sh *shard) moveToFront(i int32) {
+	if sh.head != i {
+		sh.unlink(i)
+		sh.pushFront(i)
+	}
 }
 
 // Stats is a point-in-time snapshot of the cache counters, rendered into

@@ -36,7 +36,7 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair) (*BatchResu
 	// negative, so an all-hit batch needs no bookkeeping beyond scores.
 	scores := make([]int, len(pairs))
 	var (
-		missIdx   map[aligncache.Key]int // allocated on the first miss
+		missIdx   map[aligncache.Key]int // sized at the first miss to the pairs left
 		missPairs []dna.Pair
 		missKeys  []aligncache.Key
 		hits      int
@@ -53,7 +53,10 @@ func (s *Service) alignCached(ctx context.Context, pairs []dna.Pair) (*BatchResu
 			continue
 		}
 		if missIdx == nil {
-			missIdx = make(map[aligncache.Key]int)
+			left := len(pairs) - i
+			missIdx = make(map[aligncache.Key]int, left)
+			missPairs = make([]dna.Pair, 0, left)
+			missKeys = make([]aligncache.Key, 0, left)
 		}
 		missIdx[k] = len(missPairs)
 		scores[i] = -(len(missPairs) + 1)

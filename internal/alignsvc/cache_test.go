@@ -228,9 +228,12 @@ func TestCacheLeaderDeadlineNotCached(t *testing.T) {
 
 // TestCachedAlignAllocs gates the cached path's allocations on a striped
 // service: an all-hit batch costs its scores slice and its result, and a
-// batch of unique pairs costs at most 3 allocations per pair (the cache
-// entry and its LRU element among them), so the path may add no per-batch
-// slice on hits and no per-pair bookkeeping on misses.
+// batch of unique pairs costs at most 0.5 allocations per pair. A cache
+// entry is a slot with no allocation of its own and the miss bookkeeping
+// is sized once, so what remains is a few allocations per batch (scores,
+// miss bookkeeping, the engine's, the result) and the growth of the
+// cache's slot slices and maps while they fill. The path may add no
+// per-batch slice on hits and no per-pair allocation on misses.
 func TestCachedAlignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop items, so KeyOf and the engine allocate")
@@ -266,8 +269,8 @@ func TestCachedAlignAllocs(t *testing.T) {
 		}
 		next++
 	})
-	if n > 3*size {
-		t.Errorf("unique 256×128×1024 batch: %.0f allocations (%.2f per pair), want at most 3 per pair",
+	if n > size/2 {
+		t.Errorf("unique 256×128×1024 batch: %.0f allocations (%.2f per pair), want at most 0.5 per pair",
 			n, n/size)
 	}
 	t.Logf("unique 256×128×1024 batch: %.0f allocations (%.2f per pair)", n, n/size)
